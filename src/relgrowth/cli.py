@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a proven statement was violated
-(implementation bug), 2 input or precondition error.
+(implementation bug), 2 input or precondition error, including running out
+of memory or recursion depth on an oversized input.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _cmd_kappa(args) -> int:
                 f"--oracle refused: n={rel.n} exceeds limit {args.oracle_limit}"
             )
         value, atoms = connectivity.atoms_oracle(rel, args.oracle_limit)
-        agree = value == result.kappa and {a.set.bits for a in result.atoms} <= {
+        agree = value == result.kappa and {a.set.bits for a in result.atoms} == {
             a.set.bits for a in atoms
         }
         print(f"oracle kappa = {value}: {'agree' if agree else 'DISAGREE'}")
@@ -234,6 +235,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # input too large for this machine or too deep for the search
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -6,8 +6,6 @@ FAIL signal.  Criteria 1-4 and 7 exercise the theorem-as-oracle harness,
 sphere bound.
 """
 
-import random
-
 import pytest
 
 from relgrowth import (
@@ -29,7 +27,7 @@ from relgrowth.connectivity import atoms_oracle
 from relgrowth.groups import TransitivityCertificate
 from relgrowth.theorems import subsets_of
 
-from conftest import random_relation
+from conftest import oracle_corpus
 
 
 def report(name: str) -> None:
@@ -99,15 +97,7 @@ def test_criterion_5_connectivity_oracle_equivalence():
         assert {a.set.bits for a in flow.atoms} == {a.set.bits for a in atoms}, rel
 
     checked = 0
-    for n in range(2, 11):
-        for gens in subsets_of(range(1, n)):
-            rel, _ = cayley_relation(cyclic(n), gens)
-            agree(rel)
-            checked += 1
-    rng = random.Random(20260823)
-    for i in range(1000):
-        p = (0.2, 0.4, 0.6)[i % 3]
-        rel = random_relation(rng, rng.randrange(2, 11), p)
+    for rel in oracle_corpus():
         agree(rel)
         checked += 1
     report(f"5 (flow/oracle kappa and atom equivalence, {checked} relations)")

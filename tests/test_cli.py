@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from relgrowth import Relation, cayley_relation, cyclic
+from relgrowth import Relation, cayley_relation, connectivity, cyclic, fileio
 from relgrowth.cli import main
 from relgrowth.fileio import write_group, write_relation, write_subset
 
@@ -52,6 +53,22 @@ class TestKappaCommand:
         path = tmp_path / "c.rel"
         write_relation(path, rel)
         assert main(["kappa", str(path), "--oracle", "--oracle-limit", "4"]) == 2
+
+    def test_oracle_rejects_missing_atoms(self, tmp_path, capsys, monkeypatch):
+        # the reflexive 6-cycle has six atoms; a flow result that reports
+        # only the first of them must not pass the cross-check
+        rel = Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        path = tmp_path / "c6.rel"
+        write_relation(path, rel.reflexive_closure())
+        real_kappa = connectivity.kappa
+
+        def first_atom_only(r):
+            result = real_kappa(r)
+            return dataclasses.replace(result, atoms=result.atoms[:1])
+
+        monkeypatch.setattr(connectivity, "kappa", first_atom_only)
+        assert main(["kappa", str(path), "--oracle"]) == 1
+        assert "DISAGREE" in capsys.readouterr().out
 
     def test_atom_containing(self, tmp_path, capsys):
         rel = Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -136,6 +153,19 @@ class TestZerosumCommand:
         assert main(["zerosum", str(grp), str(sub)]) == 0
         out = capsys.readouterr().out
         assert "k = 6" in out and "sequence = 1 1 1 1 1 1" in out
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_exhaustion_exit_two(self, tmp_path, capsys, monkeypatch, exc):
+        grp, sub = tmp_path / "z6.grp", tmp_path / "s.txt"
+        write_group(grp, cyclic(6))
+        write_subset(sub, [1])
+
+        def exhausted(path):
+            raise exc()
+
+        monkeypatch.setattr(fileio, "read_group", exhausted)
+        assert main(["zerosum", str(grp), str(sub)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: input too large ({exc.__name__})")
 
     def test_identity_in_subset_exit_two(self, tmp_path):
         grp, sub = tmp_path / "z6.grp", tmp_path / "s.txt"

@@ -2,24 +2,30 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgrowth import (
     AtomsUndefinedError,
+    ConnectivityResult,
+    Fragment,
     Relation,
     atom_containing,
     atoms_oracle,
+    catalog_up_to_order,
     cayley_relation,
     check_atom_disjointness,
     check_proposition_basic,
     cyclic,
+    dihedral,
     direct_product,
     fragments_oracle,
     kappa,
     min_separating_set,
 )
 from relgrowth.relation import VertexSet
+from relgrowth.theorems import subsets_of
 
-from conftest import random_relation, relations
+from conftest import oracle_corpus, random_relation, relations
 
 
 def reflexive_cycle(n):
@@ -28,6 +34,51 @@ def reflexive_cycle(n):
 
 def complete(n):
     return Relation(n, tuple([(1 << n) - 1] * n))
+
+
+def sweep_kappa(rel):
+    """Reference route: one min_separating_set per ordered (s, t) pair; the
+    atoms are the least of the minimal optimal sides over all pairs."""
+    best, sides = None, []
+    for s in range(rel.n):
+        for t in range(rel.n):
+            result = None if s == t else min_separating_set(rel, s, t)
+            if result is None:
+                continue
+            value, x_min = result
+            if best is None or value < best:
+                best, sides = value, [x_min]
+            elif value == best:
+                sides.append(x_min)
+    if best is None:
+        return ConnectivityResult(rel.n - 1, True, None, None, ())
+    fragments = {x.bits: Fragment.of(rel, x) for x in sides}
+    size = min(len(f.set) for f in fragments.values())
+    atoms = tuple(
+        sorted((f for f in fragments.values() if len(f.set) == size), key=Fragment.sort_key)
+    )
+    return ConnectivityResult(best, False, atoms[0], size, atoms)
+
+
+def disjoint_union(a, b):
+    return Relation(a.n + b.n, a.succ + tuple(s << a.n for s in b.succ))
+
+
+DISCONNECTED = {
+    "Cay(Z8,{2})": cayley_relation(cyclic(8), [2])[0],
+    "Cay(Z9,{3,6}) reflexive": cayley_relation(cyclic(9), [3, 6], reflexive=True)[0],
+    "Cay(Z12,{4,6})": cayley_relation(cyclic(12), [4, 6])[0],
+    "C3 + C4": disjoint_union(
+        cayley_relation(cyclic(3), [1])[0], cayley_relation(cyclic(4), [1])[0]
+    ),
+    "K3 + K3": disjoint_union(complete(3), complete(3)),
+    "no arcs": Relation(5, (0,) * 5),
+    "loops only": Relation.identity(4),
+    "chain": Relation.from_edges(3, [(0, 1), (1, 2)]),
+    "cycle with a sink": Relation.from_edges(
+        5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 4)]
+    ),
+}
 
 
 class TestMinSeparatingSet:
@@ -103,6 +154,82 @@ class TestKappa:
         assert frag.set and frag.set.union(rel.image(frag.set)) != VertexSet.full(7)
 
 
+class TestKappaMatchesSweep:
+    def test_catalog_cayley(self):
+        for group in catalog_up_to_order(10):
+            for gens in subsets_of(range(1, group.n)):
+                for reflexive in (False, True):
+                    rel, _ = cayley_relation(group, gens, reflexive=reflexive)
+                    assert kappa(rel) == sweep_kappa(rel), (group.name, gens, reflexive)
+
+    @pytest.mark.parametrize("name", sorted(DISCONNECTED))
+    def test_disconnected(self, name):
+        rel = DISCONNECTED[name]
+        assert not rel.is_connected()
+        result = kappa(rel)
+        assert result.kappa == 0
+        assert result == sweep_kappa(rel)
+
+    def test_separator_found_only_in_reverse(self):
+        # {4} is the only fragment, cut off by {0}; source 0 lies in that
+        # separator and every forward flow from source 1 has value 2, so
+        # only the reverse flow 1 -> 4 finds kappa = 1
+        rel = Relation.from_edges(
+            5,
+            [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1),
+             (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0)],
+        )
+        assert [min_separating_set(rel, s, 4)[0] for s in (0, 1)] == [2, 2]
+        result = kappa(rel)
+        assert result.kappa == 1
+        assert [a.set.members() for a in result.atoms] == [(4,)]
+        assert result == sweep_kappa(rel)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations(min_n=2, max_n=9), st.booleans())
+    def test_random_with_loops(self, rel, reflexive):
+        if reflexive:
+            rel = rel.reflexive_closure()
+        assert kappa(rel) == sweep_kappa(rel)
+
+
+def networkx_kappa_from_zero(rel):
+    """min over the non-successors t of 0 of networkx's local node
+    connectivity 0 -> t; exact for a Cayley relation, whose left
+    translations carry every vertex to 0."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    from networkx.algorithms.flow import build_residual_network
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(rel.n))
+    graph.add_edges_from((u, v) for u, v in rel.edges() if u != v)
+    aux = build_auxiliary_node_connectivity(graph)
+    residual = build_residual_network(aux, "capacity")
+    return min(
+        (
+            local_node_connectivity(graph, 0, t, auxiliary=aux, residual=residual)
+            for t in range(1, rel.n)
+            if not graph.has_edge(0, t)
+        ),
+        default=rel.n - 1,
+    )
+
+
+class TestKappaNetworkx:
+    def test_cayley_n15_to_40(self):
+        rng = random.Random(1540)
+        for n in range(15, 41):
+            groups = [cyclic(n)] + ([dihedral(n // 2)] if n % 2 == 0 else [])
+            for group in groups:
+                gens = rng.sample(range(1, n), rng.randrange(2, 5))
+                rel, _ = cayley_relation(group, gens)
+                assert kappa(rel).kappa == networkx_kappa_from_zero(rel), (group.name, gens)
+
+
 class TestFragmentsOracle:
     def test_reflexive_four_cycle(self):
         value, fragments = fragments_oracle(reflexive_cycle(4))
@@ -119,6 +246,22 @@ class TestFragmentsOracle:
     def test_threshold_guard(self):
         with pytest.raises(ValueError, match="refused"):
             fragments_oracle(Relation.identity(15))
+
+    @settings(max_examples=60, deadline=None)
+    @given(relations(min_n=2, max_n=8))
+    def test_matches_subset_loop(self, rel):
+        full = VertexSet.full(rel.n)
+        fragments = [Fragment.of(rel, VertexSet(rel.n, m)) for m in range(1, 1 << rel.n)]
+        feasible = [f for f in fragments if f.set.union(rel.image(f.set)) != full]
+        value = min((f.value for f in feasible), default=rel.n - 1)
+        expected = sorted((f for f in feasible if f.value == value), key=Fragment.sort_key)
+        assert fragments_oracle(rel) == (value, expected)
+
+    def test_atoms_oracle_is_least_fragments(self):
+        for rel in oracle_corpus():
+            value, fragments = fragments_oracle(rel)
+            size = min((len(f.set) for f in fragments), default=None)
+            assert atoms_oracle(rel) == (value, [f for f in fragments if len(f.set) == size])
 
     def test_oracle_matches_flow_on_examples(self, cycle5):
         rel = cycle5.reflexive_closure()
