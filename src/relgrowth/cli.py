@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import connectivity, fileio, theorems
-from .groups import GroupSubset, catalog_up_to_order, cayley_relation
+from .groups import GroupSubset, catalog_up_to_order, cayley_relation, cyclic
 from .relation import INFINITE
 from .theorems import ALL_CHECKS, BugError
 
@@ -139,11 +139,8 @@ def _cmd_gen(args) -> int:
     if args.family == "circulants":
         if args.n is None:
             raise ValueError("gen circulants requires --n")
-        for descriptor, group, gens in theorems.iter_group_instances(
-            "circulants", max_n=args.n
-        ):
-            if group.n != args.n:
-                continue
+        group = cyclic(args.n)
+        for gens in theorems.subsets_of(range(1, args.n)):
             rel, _ = cayley_relation(group, gens)
             name = f"circ_n{args.n}_S" + "_".join(str(s) for s in gens)
             fileio.write_relation(out / f"{name}.rel", rel)

@@ -4,12 +4,19 @@ Every claim checked here is a proven inequality, so on any certified
 point-transitive instance a failed check is an implementation bug, never a
 discovery.  Checks record lhs/rhs pairs with pass and tightness flags and
 aggregate into machine-readable reports.
+
+All the bounds follow from one sphere bound, and each quantity has one
+route.  `growth_profile` walks the balls around a vertex once, to the end
+of the hypothesis window, and the sphere, ball and girth-window records are
+read from it.  `_shortest_return` is the one search for a shortest product
+equal to the identity: its length is the girth of the Cayley relation and
+its sequence the zero-product witness.  `run_family` sends every instance,
+a generator subset or a relation file, through `_instance_reports`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,7 +33,7 @@ from .groups import (
     orbit_of_zero,
     symmetric,
 )
-from .relation import INFINITE, Relation, VertexSet, _image_bits, _iter_bits
+from .relation import INFINITE, Relation, _image_bits
 
 
 class BugError(RuntimeError):
@@ -109,9 +116,24 @@ class ZeroProductWitness:
     bound: int
 
 
-def hypothesis_window(rel: Relation, v: int) -> HypothesisWindow:
-    """Scan radii upward while ball(v, j) meets the reverse image of v only
-    in v.  Stops at the first failure or at ball stabilization (capped at n).
+@dataclass(frozen=True, slots=True)
+class GrowthProfile:
+    """The hypothesis window at a vertex and the balls inside it: balls[j]
+    is the bitmask of the j-ball for j = 0..max_j.  A ball that stops
+    growing keeps the window open for good, so the window then runs to n
+    and the last ball repeats."""
+
+    vertex: int
+    balls: tuple[int, ...]
+
+    @property
+    def max_j(self) -> int:
+        return len(self.balls) - 1
+
+
+def growth_profile(rel: Relation, v: int) -> GrowthProfile:
+    """Grow balls around v while each meets the reverse image of v only in
+    v.  Stops at the first failure or at ball stabilization (capped at n).
     """
     if not rel.is_reflexive():
         raise ValueError("hypothesis window requires a reflexive relation")
@@ -121,18 +143,21 @@ def hypothesis_window(rel: Relation, v: int) -> HypothesisWindow:
     for u in range(rel.n):
         if rel.succ[u] >> v & 1:
             rev_bits |= 1 << u
-    ball = 1 << v
-    max_j = 0
+    balls = [1 << v]
     for j in range(1, rel.n + 1):
-        nxt = _image_bits(rel.succ, ball)
+        nxt = _image_bits(rel.succ, balls[-1])
         if nxt & rev_bits != 1 << v:
             break
-        max_j = j
-        if nxt == ball:  # stabilized: the condition persists forever
-            max_j = rel.n
+        if nxt == balls[-1]:  # stabilized: the condition persists forever
+            balls += [nxt] * (rel.n + 1 - j)
             break
-        ball = nxt
-    return HypothesisWindow(v, max_j)
+        balls.append(nxt)
+    return GrowthProfile(v, tuple(balls))
+
+
+def hypothesis_window(rel: Relation, v: int) -> HypothesisWindow:
+    """The window of growth_profile(rel, v), without its balls."""
+    return HypothesisWindow(v, growth_profile(rel, v).max_j)
 
 
 def _require_regular(rel: Relation) -> int:
@@ -144,6 +169,60 @@ def _require_regular(rel: Relation) -> int:
 
 def _certificate_caveats(certificate: TransitivityCertificate) -> tuple[str, ...]:
     return () if certificate.certified else ("uncertified-transitivity",)
+
+
+def _instance_reports(
+    rel: Relation,
+    certificate: TransitivityCertificate,
+    descriptor: str,
+    family: str,
+    params: dict,
+    checks: tuple[str, ...],
+    all_vertices: bool,
+    bound_delta: int,
+) -> list[VerificationReport]:
+    """The main and growth reports of the reflexive closure and the girth
+    report of the loopless relation, in that order, for the selected checks
+    among those three.  Main and growth read one growth profile per base
+    vertex."""
+    closure = rel.reflexive_closure()
+    r = closure.regular_degree()  # regular iff the loopless relation is
+    if r is None:
+        # the bounds are stated for a single out-degree, so a non-regular
+        # input gets a caveated empty report per check
+        return [
+            VerificationReport(family, descriptor, params, None, caveats=("not-regular",))
+            for claim in checks
+            if claim in ("main", "growth", "girth")
+        ]
+    profiles = []
+    if "main" in checks or "growth" in checks:
+        vertices = range(rel.n) if all_vertices else (0,)
+        profiles = [growth_profile(closure, v) for v in vertices]
+    caveats = _certificate_caveats(certificate)
+    reports = []
+    if "main" in checks:
+        report = VerificationReport(family, descriptor, params, r, caveats=caveats)
+        for profile in profiles:
+            sizes = [b.bit_count() for b in profile.balls]
+            report.checks.extend(
+                CheckRecord("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
+                for j in range(1, len(sizes))
+            )
+        reports.append(report)
+    if "growth" in checks:
+        report = VerificationReport(family, descriptor, params, r, caveats=caveats)
+        for profile in profiles:
+            report.checks.extend(
+                CheckRecord("ball-lower-bound", j, b.bit_count(), 1 + (r - 1) * j)
+                for j, b in enumerate(profile.balls)
+            )
+        reports.append(report)
+    if "girth" in checks:
+        reports.append(
+            check_girth_bound(rel.remove_loops(), certificate, descriptor, family, params)
+        )
+    return reports
 
 
 def check_main_theorem(
@@ -162,20 +241,10 @@ def check_main_theorem(
     """
     if not rel.is_reflexive():
         raise ValueError("the sphere bound assumes a reflexive relation")
-    r = _require_regular(rel)
-    report = VerificationReport(
-        family, descriptor, params or {}, r, caveats=_certificate_caveats(certificate)
+    _require_regular(rel)  # raise here; run_family records a caveat instead
+    (report,) = _instance_reports(
+        rel, certificate, descriptor, family, params or {}, ("main",), all_vertices, bound_delta
     )
-    vertices = range(rel.n) if all_vertices else (0,)
-    for v in vertices:
-        window = hypothesis_window(rel, v)
-        ball = rel.ball(v, 0)
-        for j in range(1, window.max_j + 1):
-            nxt = rel.image(ball)
-            report.checks.append(
-                CheckRecord("sphere-lower-bound", j, len(nxt) - len(ball), r - 1 + bound_delta)
-            )
-            ball = nxt
     return report
 
 
@@ -190,20 +259,10 @@ def check_ball_growth(
     """Ball sizes within the hypothesis window must be at least 1 + (r-1)j."""
     if not rel.is_reflexive():
         raise ValueError("the ball growth bound assumes a reflexive relation")
-    r = _require_regular(rel)
-    report = VerificationReport(
-        family, descriptor, params or {}, r, caveats=_certificate_caveats(certificate)
+    _require_regular(rel)
+    (report,) = _instance_reports(
+        rel, certificate, descriptor, family, params or {}, ("growth",), all_vertices, 0
     )
-    vertices = range(rel.n) if all_vertices else (0,)
-    for v in vertices:
-        window = hypothesis_window(rel, v)
-        ball = rel.ball(v, 0)
-        for j in range(0, window.max_j + 1):
-            if j > 0:
-                ball = rel.image(ball)
-            report.checks.append(
-                CheckRecord("ball-lower-bound", j, len(ball), 1 + (r - 1) * j)
-            )
     return report
 
 
@@ -234,34 +293,38 @@ def check_girth_bound(
         return report
     g = int(g)
     report.witnesses["girth"] = g
-    closed = rel.reflexive_closure()
-    window = hypothesis_window(closed, 0)
-    report.witnesses["window_max_j"] = window.max_j
-    if certificate.certified and window.max_j < g - 2:
+    max_j = growth_profile(rel.reflexive_closure(), 0).max_j
+    report.witnesses["window_max_j"] = max_j
+    if certificate.certified and max_j < g - 2:
         raise BugError(
-            f"{descriptor}: reflexive-closure window {window.max_j} below g-2={g - 2}"
+            f"{descriptor}: reflexive-closure window {max_j} below g-2={g - 2}"
         )
     report.checks.append(CheckRecord("girth-order-bound", g, rel.n, 1 + r * (g - 1)))
     return report
 
 
-def _cayley_girth(group: FiniteGroup, gens: tuple[int, ...]) -> int:
-    """Girth of the loopless Cayley relation, measured from the identity
-    (valid by transitivity): least k with some k-term product equal to 1."""
+def _shortest_return(group: FiniteGroup, gens: tuple[int, ...]) -> list[int]:
+    """Shortest nonempty sequence over gens whose left-to-right product is
+    the identity, by breadth-first search from the identity in the loopless
+    Cayley relation; its length is the girth of that relation."""
     table = group.table
-    bits = 0
-    for s in gens:
-        bits |= 1 << s
-    for k in range(1, group.n + 1):
-        if bits & 1:
-            return k
-        nxt = 0
-        for g in _iter_bits(bits):
-            row = table[g]
-            for s in gens:
-                nxt |= 1 << row[s]
-        bits = nxt
-    raise BugError(f"no product over {gens} returned to the identity in {group.name}")
+    parent: list[tuple[int, int] | None] = [None] * group.n
+    queue = [0]
+    for g in queue:  # appending while iterating reads the list as a FIFO queue
+        row = table[g]
+        for s in gens:
+            h = row[s]
+            if h == 0:  # BFS order makes the first return minimal
+                sequence = [s]
+                while g != 0:
+                    g, s = parent[g]
+                    sequence.append(s)
+                sequence.reverse()
+                return sequence
+            if parent[h] is None:
+                parent[h] = (g, s)
+                queue.append(h)
+    raise BugError(f"identity unreachable over {gens} in {group.name}")
 
 
 def zero_product_witness(
@@ -277,31 +340,7 @@ def zero_product_witness(
         raise ValueError("subset must be nonempty")
     if group.identity in subset.members:
         raise ValueError("subset must exclude the identity")
-    table = group.table
-    parent: dict[int, tuple[int, int]] = {}
-    dist = {0: 0}
-    queue = deque([0])
-    closing: tuple[int, int] | None = None
-    while queue and closing is None:
-        g = queue.popleft()
-        row = table[g]
-        for s in gens:
-            h = row[s]
-            if h == 0:  # BFS order makes the first return minimal
-                closing = (g, s)
-                break
-            if h not in dist:
-                dist[h] = dist[g] + 1
-                parent[h] = (g, s)
-                queue.append(h)
-    if closing is None:
-        raise BugError(f"identity unreachable over {gens} in {group.name}")
-    g, last = closing
-    sequence = [last]
-    while g != 0:
-        g, s = parent[g]
-        sequence.append(s)
-    sequence.reverse()
+    sequence = _shortest_return(group, gens)
     k = len(sequence)
     bound = (group.n + len(gens) - 1) // len(gens)
     if group.product(sequence) != group.identity:
@@ -400,7 +439,7 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
             continue
         scanned += 1
         r = len(gens)
-        g = _cayley_girth(group, gens)
+        g = len(_shortest_return(group, gens))
         lhs, rhs = n, 1 + r * (g - 1)
         if lhs < rhs:
             report = VerificationReport(
@@ -429,28 +468,20 @@ def subsets_of(elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(e for i, e in enumerate(elems) if mask >> i & 1)
 
 
-def iter_group_instances(
-    family: str, **params
-) -> Iterator[tuple[str, FiniteGroup, tuple[int, ...]]]:
-    """Yields (descriptor, group, generators) for the named built-in family."""
+def _family_groups(family: str, params: dict) -> Iterator[FiniteGroup]:
+    """The groups of the named built-in family that have a nonempty
+    generator subset; cyclic groups are built one at a time."""
     if family == "circulants":
-        max_n = params["max_n"]
-        for n in range(2, max_n + 1):
-            group = cyclic(n)
-            for gens in subsets_of(range(1, n)):
-                yield f"Cay(Z{n},{list(gens)})", group, gens
-    elif family in ("cayley_abelian", "cayley_dihedral", "cayley_symmetric"):
-        if family == "cayley_abelian":
-            groups = group_catalog(abelian_max=params["max_order"])
-        elif family == "cayley_dihedral":
-            groups = [dihedral(m) for m in range(1, params["max_m"] + 1)]
-        else:
-            groups = [symmetric(params["m"])]
-        for group in groups:
-            for gens in subsets_of(range(1, group.n)):
-                yield f"Cay({group.name},{list(gens)})", group, gens
+        groups = (cyclic(n) for n in range(2, params["max_n"] + 1))
+    elif family == "cayley_abelian":
+        groups = group_catalog(abelian_max=params["max_order"])
+    elif family == "cayley_dihedral":
+        groups = [dihedral(m) for m in range(1, params["max_m"] + 1)]
+    elif family == "cayley_symmetric":
+        groups = [symmetric(params["m"])]
     else:
         raise ValueError(f"unknown family: {family}")
+    return (group for group in groups if group.n > 1)
 
 
 ALL_CHECKS = ("main", "growth", "girth", "zerosum")
@@ -472,12 +503,14 @@ class FamilyRun:
 
 
 def _summarize(
-    reports: list[VerificationReport], girth_scans: list[GirthScanResult]
+    instances: list[list[VerificationReport]], girth_scans: list[GirthScanResult]
 ) -> dict:
+    """Totals over the reports, grouped by the instance they check."""
+    reports = [r for instance in instances for r in instance]
     checks = sum(len(r.checks) for r in reports)
     failures = sum(len(r.failures) for r in reports)
     bugs = sum(len(r.failures) for r in reports if r.bug)
-    caveated = sum(1 for r in reports if r.caveats)
+    caveated = sum(1 for instance in instances if any(r.caveats for r in instance))
     tight_instances = 0
     for r in reports:
         growth = [c for c in r.checks if c.claim == "ball-lower-bound" and c.index >= 1]
@@ -487,7 +520,7 @@ def _summarize(
     scan_subsets = sum(s.total_subsets for s in girth_scans)
     scan_failures = sum(len(s.failures) for s in girth_scans)
     return {
-        "instances": len(reports),
+        "instances": sum(1 for instance in instances if instance),
         "checks": checks,
         "failures": failures,
         "bugs": bugs + scan_failures,
@@ -512,15 +545,16 @@ def run_family(
 ) -> FamilyRun:
     """Run the selected checks over every instance of a family.
 
-    For built-in group families the girth bound is verified by the
-    per-group scan (aggregate for the girth-2 class, explicit for the
-    inverse-free subsets); the other checks enumerate subsets one by one.
+    An instance is a relation file or a generator subset of a group.  For
+    built-in group families the girth bound is verified by the per-group
+    scan (aggregate for the girth-2 class, explicit for the inverse-free
+    subsets), and subsets are enumerated only for the other checks.
     """
     selected = tuple(checks)
     for c in selected:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check: {c}")
-    reports: list[VerificationReport] = []
+    instances: list[list[VerificationReport]] = []
     girth_scans: list[GirthScanResult] = []
     if family == "from_files":
         from .fileio import read_relation
@@ -531,81 +565,45 @@ def run_family(
                 certificate = TransitivityCertificate.brute()
             else:
                 certificate = TransitivityCertificate.none()
-            descriptor = str(path)
-            reflexive = rel.reflexive_closure()
-            if rel.remove_loops().regular_degree() is None:
-                # the bounds are stated for a single out-degree, so a
-                # non-regular input gets a caveated empty report per check
-                for claim in selected:
-                    if claim not in ("main", "growth", "girth"):
-                        continue
-                    reports.append(
-                        VerificationReport(
-                            family, descriptor, {}, None, caveats=("not-regular",)
-                        )
-                    )
-                continue
-            if "main" in selected:
-                reports.append(
-                    check_main_theorem(
-                        reflexive, certificate, descriptor, family,
-                        all_vertices=all_vertices, bound_delta=bound_delta,
-                    )
+            instances.append(
+                _instance_reports(
+                    rel, certificate, str(path), family, {}, selected,
+                    all_vertices, bound_delta,
                 )
-            if "growth" in selected:
-                reports.append(
-                    check_ball_growth(
-                        reflexive, certificate, descriptor, family,
-                        all_vertices=all_vertices,
-                    )
-                )
-            if "girth" in selected:
-                reports.append(
-                    check_girth_bound(rel.remove_loops(), certificate, descriptor, family)
-                )
+            )
     else:
         per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
-        seen_groups: dict[str, FiniteGroup] = {}
         count = 0
-        for descriptor, group, gens in iter_group_instances(family, **params):
-            if "girth" in selected and group.name not in seen_groups:
-                seen_groups[group.name] = group
+        for group in _family_groups(family, params):
+            if "girth" in selected:
                 girth_scans.append(scan_girth_bound(group))
             if not per_subset:
                 continue
-            count += 1
+            count += (1 << (group.n - 1)) - 1
             if count > max_instances:
-                raise ValueError(
-                    f"family {family} exceeds {max_instances} enumerated instances"
-                )
-            certificate = TransitivityCertificate.cayley()
-            info = {"group": group.name, "gens": list(gens)}
-            if "main" in per_subset or "growth" in per_subset:
-                reflexive, _ = cayley_relation(group, gens, reflexive=True)
-                if "main" in per_subset:
-                    reports.append(
-                        check_main_theorem(
-                            reflexive, certificate, descriptor, family, info,
-                            all_vertices=all_vertices, bound_delta=bound_delta,
+                raise ValueError(f"family {family} exceeds {max_instances} enumerated instances")
+            for gens in subsets_of(range(1, group.n)):
+                descriptor = f"Cay({group.name},{list(gens)})"
+                info = {"group": group.name, "gens": list(gens)}
+                reports = []
+                if "main" in per_subset or "growth" in per_subset:
+                    rel, certificate = cayley_relation(group, gens, reflexive=True)
+                    reports = _instance_reports(
+                        rel, certificate, descriptor, family, info, per_subset,
+                        all_vertices, bound_delta,
+                    )
+                if "zerosum" in per_subset:
+                    report = VerificationReport(family, descriptor, info, len(gens))
+                    try:
+                        witness = zero_product_witness(group, gens)
+                        report.checks.append(
+                            CheckRecord("zero-product-bound", witness.k, witness.bound, witness.k)
                         )
-                    )
-                if "growth" in per_subset:
-                    reports.append(
-                        check_ball_growth(
-                            reflexive, certificate, descriptor, family, info,
-                            all_vertices=all_vertices,
-                        )
-                    )
-            if "zerosum" in per_subset:
-                report = VerificationReport(family, descriptor, info, len(gens))
-                try:
-                    witness = zero_product_witness(group, gens)
-                    report.checks.append(
-                        CheckRecord("zero-product-bound", witness.k, witness.bound, witness.k)
-                    )
-                    report.witnesses["sequence"] = list(witness.sequence)
-                except BugError as exc:
-                    report.checks.append(CheckRecord("zero-product-bound", 0, -1, 0))
-                    report.witnesses["error"] = str(exc)
-                reports.append(report)
-    return FamilyRun(family, dict(params), reports, girth_scans, _summarize(reports, girth_scans))
+                        report.witnesses["sequence"] = list(witness.sequence)
+                    except BugError as exc:
+                        report.checks.append(CheckRecord("zero-product-bound", 0, -1, 0))
+                        report.witnesses["error"] = str(exc)
+                    reports.append(report)
+                instances.append(reports)
+    reports = [r for instance in instances for r in instance]
+    return FamilyRun(family, dict(params), reports, girth_scans, _summarize(instances, girth_scans))

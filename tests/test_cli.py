@@ -193,3 +193,4 @@ class TestGenCommand:
 
     def test_missing_param_exit_two(self, tmp_path):
         assert main(["gen", "circulants", "--out-dir", str(tmp_path / "x")]) == 2
+        assert main(["gen", "circulants", "--n", "0", "--out-dir", str(tmp_path / "x")]) == 2

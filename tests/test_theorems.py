@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgrowth import (
     BugError,
     Relation,
     TransitivityCertificate,
+    catalog_up_to_order,
     cayley_relation,
     check_ball_growth,
     check_girth_bound,
@@ -19,6 +22,10 @@ from relgrowth import (
     symmetric,
     zero_product_witness,
 )
+from relgrowth import theorems
+from relgrowth.theorems import growth_profile, subsets_of
+
+from conftest import relations
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -55,6 +62,75 @@ class TestHypothesisWindow:
         rev = rel.reverse().successors(0)
         for j in range(1, window.max_j + 1):
             assert rel.ball(0, j).intersection(rev).members() == (0,)
+
+
+@st.composite
+def regular_reflexive(draw, max_n=9):
+    """A reflexive relation with every out-degree r, each vertex's r - 1
+    other successors drawn independently, so most are not transitive."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    r = draw(st.integers(min_value=1, max_value=n))
+    edges = []
+    for u in range(n):
+        others = draw(st.permutations([v for v in range(n) if v != u]))
+        edges += [(u, u)] + [(u, v) for v in others[: r - 1]]
+    return Relation.from_edges(n, edges)
+
+
+def naive_window(rel, v):
+    rev = rel.reverse().successors(v)
+    max_j = 0
+    for j in range(1, rel.n + 1):
+        if rel.ball(v, j).intersection(rev).members() != (v,):
+            break
+        max_j = j
+    return max_j
+
+
+class TestGrowthWalkOracle:
+    """The one growth walk against balls recomputed radius by radius."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations(min_n=1, max_n=9))
+    def test_profile_matches_balls(self, rel):
+        rel = rel.reflexive_closure()
+        for v in range(rel.n):
+            profile = growth_profile(rel, v)
+            assert profile.max_j == naive_window(rel, v)
+            assert profile.max_j == hypothesis_window(rel, v).max_j
+            assert list(profile.balls) == [
+                rel.ball(v, j).bits for j in range(profile.max_j + 1)
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(regular_reflexive(), st.booleans(), st.sampled_from((-1, 0, 1)))
+    def test_records_match_naive(self, rel, all_vertices, bound_delta):
+        r = rel.regular_degree()
+        main, growth = [], []
+        for v in range(rel.n) if all_vertices else (0,):
+            sizes = [len(rel.ball(v, j)) for j in range(naive_window(rel, v) + 1)]
+            main += [
+                ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
+                for j in range(1, len(sizes))
+            ]
+            growth += [
+                ("ball-lower-bound", j, size, 1 + (r - 1) * j)
+                for j, size in enumerate(sizes)
+            ]
+        certificate = TransitivityCertificate.none()
+        main_report = check_main_theorem(
+            rel, certificate, all_vertices=all_vertices, bound_delta=bound_delta
+        )
+        growth_report = check_ball_growth(rel, certificate, all_vertices=all_vertices)
+        assert [(c.claim, c.index, c.lhs, c.rhs) for c in main_report.checks] == main
+        assert [(c.claim, c.index, c.lhs, c.rhs) for c in growth_report.checks] == growth
+
+    def test_identity_stabilises_at_n(self):
+        rel = Relation.identity(4)
+        profile = growth_profile(rel, 2)
+        assert profile.max_j == 4 and profile.balls == (1 << 2,) * 5
+        report = check_main_theorem(rel, CAYLEY)
+        assert [(c.index, c.lhs, c.rhs) for c in report.checks] == [(j, 0, 0) for j in (1, 2, 3, 4)]
 
 
 class TestMainTheorem:
@@ -177,6 +253,17 @@ class TestZeroProduct:
                 assert group.product(witness.sequence) == 0
                 assert shortest_zero_product_oracle(group, gens, witness.k) == witness.k
 
+    def test_one_search_for_girth_and_witness(self):
+        # girth of loopless Cay(G, S) = shortest zero product, and the girth
+        # bound n >= 1 + r(g - 1) is the bound k <= ceil(n / r)
+        for group in catalog_up_to_order(10):
+            for gens in subsets_of(range(1, group.n)):
+                k = len(theorems._shortest_return(group, gens))
+                assert zero_product_witness(group, gens).k == k
+                assert cayley_relation(group, gens)[0].girth() == k
+                n, r = group.n, len(gens)
+                assert -(-n // r) == 1 + (n - 1) // r
+
     def test_noncommutative_order_matters(self):
         witness = zero_product_witness(symmetric(3), [1, 2, 3])
         assert witness.k <= witness.bound
@@ -200,8 +287,6 @@ class TestLemmaPowers:
 
 class TestGirthScan:
     def test_matches_per_instance_checker_small_groups(self):
-        from relgrowth.theorems import subsets_of
-
         for group in (cyclic(6), cyclic(7), dihedral(3),
                       direct_product(cyclic(2), cyclic(4))):
             scan = scan_girth_bound(group)
@@ -226,7 +311,8 @@ class TestRunFamily:
         run = run_family("circulants", max_n=6)
         assert run.ok
         assert run.summary["failures"] == 0
-        assert run.summary["instances"] > 0 and run.summary["girth_scan_groups"] == 5
+        # one instance per generator set, not one per report
+        assert run.summary["instances"] == 57 and run.summary["girth_scan_groups"] == 5
 
     def test_cayley_abelian_clean(self):
         run = run_family("cayley_abelian", max_order=8, checks=("main", "zerosum"))
@@ -235,6 +321,11 @@ class TestRunFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             run_family("octonions")
+
+    def test_instance_cap(self):
+        # 2047 generator sets up to Z_12
+        with pytest.raises(ValueError, match="exceeds 1000 enumerated"):
+            run_family("circulants", max_n=12, checks=("main",), max_instances=1000)
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -247,7 +338,16 @@ class TestRunFamily:
         write_relation(path, Relation.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
         run = run_family("from_files", files=[str(path)], checks=("main", "growth"))
         assert run.ok  # violations on uncertified instances are not bugs
-        assert run.summary["caveated_instances"] == 2
+        assert run.summary["caveated_instances"] == 1  # one file
+
+    def test_girth_only_walks_no_subsets(self, monkeypatch):
+        def refuse(elements):
+            raise AssertionError("a girth-only run walked generator subsets")
+
+        monkeypatch.setattr(theorems, "subsets_of", refuse)
+        run = run_family("circulants", max_n=8, checks=("girth",))
+        assert run.ok and run.summary["instances"] == 0
+        assert run.summary["girth_scan_subsets"] == 247
 
     def test_determinism(self):
         first = run_family("circulants", max_n=5)
