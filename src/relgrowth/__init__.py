@@ -35,7 +35,6 @@ from .theorems import (
     BugError,
     CheckRecord,
     FamilyRun,
-    HypothesisWindow,
     VerificationReport,
     ZeroProductWitness,
     check_ball_growth,

@@ -52,11 +52,7 @@ def _cmd_kappa(args) -> int:
         for i, atom in enumerate(result.atoms):
             _print_fragment(f"atom {i}", atom)
     if args.oracle:
-        if rel.n > args.oracle_limit:
-            raise ValueError(
-                f"--oracle refused: n={rel.n} exceeds limit {args.oracle_limit}"
-            )
-        value, atoms = connectivity.atoms_oracle(rel, args.oracle_limit)
+        value, atoms = connectivity.atoms_oracle(rel)
         agree = value == result.kappa and {a.set.bits for a in result.atoms} == {
             a.set.bits for a in atoms
         }
@@ -90,14 +86,9 @@ def _cmd_girth(args) -> int:
 def _cmd_verify(args) -> int:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     params: dict = {}
-    if args.family == "circulants":
-        params["max_n"] = args.max_n
-    elif args.family == "cayley_abelian":
-        params["max_order"] = args.max_order
-    elif args.family == "cayley_dihedral":
-        params["max_m"] = args.max_m
-    elif args.family == "cayley_symmetric":
-        params["m"] = args.m
+    if args.family in theorems.FAMILIES:
+        key = theorems.FAMILIES[args.family][0]
+        params[key] = getattr(args, key)
     run = theorems.run_family(
         args.family,
         checks=checks,
@@ -176,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("relation", help=".rel file")
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the brute-force oracle")
-        p.add_argument("--oracle-limit", type=int, default=connectivity.ORACLE_LIMIT)
         if name == "atoms":
             p.add_argument("-v", "--vertex", type=int, default=None,
                            help="print the atom containing this vertex")
@@ -189,11 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_girth)
 
     p = sub.add_parser("verify", help="run the theorem verification harness")
-    p.add_argument(
-        "family",
-        choices=["circulants", "cayley_abelian", "cayley_dihedral",
-                 "cayley_symmetric", "from_files"],
-    )
+    p.add_argument("family", choices=[*theorems.FAMILIES, "from_files"])
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--max-order", type=int, default=8)
     p.add_argument("--max-m", type=int, default=4)

@@ -210,17 +210,15 @@ def kappa(rel: Relation) -> ConnectivityResult:
     return ConnectivityResult(best, False, atoms[0], atom_size, atoms)
 
 
-def _oracle_minimizers(
-    rel: Relation, limit: int
-) -> tuple[int, np.ndarray, np.ndarray]:
+def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray]:
     """(kappa, every minimizer of the boundary size as a mask, their sizes),
     enumerating every nonempty subset.  A complete-type relation (no
     feasible subset at all) has kappa n - 1 and no minimizers."""
     n = rel.n
     if n < 2:
         raise ValueError("oracle requires at least 2 vertices")
-    if n > limit:
-        raise ValueError(f"oracle refused: n={n} exceeds limit {limit}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"oracle refused: n={n} exceeds limit {ORACLE_LIMIT}")
     # image and size of every subset mask, each built from the mask
     # without its top vertex: 2^n word operations, no per-subset loop
     masks = np.arange(1 << n, dtype=np.int64)
@@ -244,20 +242,18 @@ def _sorted_fragments(rel: Relation, masks: np.ndarray) -> list[Fragment]:
     return fragments
 
 
-def fragments_oracle(
-    rel: Relation, limit: int = ORACLE_LIMIT
-) -> tuple[int, list[Fragment]]:
+def fragments_oracle(rel: Relation) -> tuple[int, list[Fragment]]:
     """Brute-force route: enumerate every nonempty subset, keep all
     minimizers of the boundary size.  Complete-type relations (no feasible
     subset at all) give (n - 1, [])."""
-    value, hits, _ = _oracle_minimizers(rel, limit)
+    value, hits, _ = _oracle_minimizers(rel)
     return value, _sorted_fragments(rel, hits)
 
 
-def atoms_oracle(rel: Relation, limit: int = ORACLE_LIMIT) -> tuple[int, list[Fragment]]:
+def atoms_oracle(rel: Relation) -> tuple[int, list[Fragment]]:
     """(kappa, atoms) via the brute-force oracle; atoms empty when complete.
     Only the minimizers of least size become Fragments."""
-    value, hits, sizes = _oracle_minimizers(rel, limit)
+    value, hits, sizes = _oracle_minimizers(rel)
     if not hits.size:
         return value, []
     return value, _sorted_fragments(rel, hits[sizes == sizes.min()])

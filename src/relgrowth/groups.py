@@ -51,9 +51,6 @@ class FiniteGroup:
             acc = self.table[acc][e]
         return acc
 
-    def elements(self) -> range:
-        return range(self.n)
-
 
 def group_from_table(
     table: Sequence[Sequence[int]], name: str = "G"
@@ -62,6 +59,9 @@ def group_from_table(
 
     Checks: square with in-range entries, element 0 a two-sided identity,
     every row and column a permutation, associativity for all triples.
+    Triples are compared one slab of rows g at a time (about 2^16 triples,
+    at least one row), so memory stays O(n^2); the witness reported is the
+    lexicographically first triple that fails.
     """
     n = len(table)
     if n == 0:
@@ -77,11 +77,15 @@ def group_from_table(
         and np.array_equal(np.sort(t, axis=0), np.tile(idx[:, None], (1, n)))
     ):
         raise GroupValidationError("NotLatinSquare")
-    lhs = t[t]  # lhs[g,h,k] = (g*h)*k
-    rhs = t[:, t]  # rhs[g,h,k] = g*(h*k)
-    if not np.array_equal(lhs, rhs):
-        g, h, k = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        raise GroupValidationError("NotAssociative", (g, h, k))
+    step = max(1, 2**16 // n**2)
+    for start in range(0, n, step):
+        rows = t[start : start + step]
+        lhs = t[rows]  # lhs[i,h,k] = (g*h)*k for g = start + i
+        rhs = rows[:, t]  # rhs[i,h,k] = g*(h*k)
+        bad = lhs != rhs
+        if bad.any():
+            i, h, k = (int(v) for v in np.argwhere(bad)[0])
+            raise GroupValidationError("NotAssociative", (start + i, h, k))
     return FiniteGroup(n, tuple(tuple(int(v) for v in row) for row in t), name)
 
 
@@ -258,6 +262,8 @@ def _search_automorphisms(
     rel: Relation, fixed_image_of_zero: int | None, find_all: bool
 ) -> list[tuple[int, ...]]:
     n = rel.n
+    if n > BRUTE_LIMIT:
+        raise ValueError(f"brute automorphism search refused: n={n} > {BRUTE_LIMIT}")
     succ = rel.succ
     pred = rel.reverse().succ
     outdeg = [s.bit_count() for s in succ]
@@ -299,17 +305,13 @@ def _search_automorphisms(
     return results
 
 
-def automorphisms_brute(rel: Relation, limit: int = BRUTE_LIMIT) -> list[tuple[int, ...]]:
+def automorphisms_brute(rel: Relation) -> list[tuple[int, ...]]:
     """All arc-preserving vertex permutations, by backtracking search."""
-    if rel.n > limit:
-        raise ValueError(f"brute automorphism search refused: n={rel.n} > {limit}")
     return _search_automorphisms(rel, None, find_all=True)
 
 
-def is_point_transitive_brute(rel: Relation, limit: int = BRUTE_LIMIT) -> bool:
+def is_point_transitive_brute(rel: Relation) -> bool:
     """True iff for every v some automorphism maps vertex 0 to v."""
-    if rel.n > limit:
-        raise ValueError(f"brute transitivity check refused: n={rel.n} > {limit}")
     if rel.n <= 1:
         return True
     return all(

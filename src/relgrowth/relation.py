@@ -86,9 +86,6 @@ class VertexSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ~self.bits & (1 << self.n) - 1)
-
 
 def _image_bits(succ: tuple[int, ...], bits: int) -> int:
     out = 0
@@ -164,10 +161,6 @@ class Relation:
 
     def has_loop(self) -> bool:
         return any(s >> v & 1 for v, s in enumerate(self.succ))
-
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(s == full for s in self.succ)
 
     def compose(self, other: "Relation") -> "Relation":
         """Left-to-right composition: (x,z) present iff some y has

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .groups import (
+    BRUTE_LIMIT,
     FiniteGroup,
     GroupSubset,
     TransitivityCertificate,
@@ -38,15 +39,6 @@ from .relation import INFINITE, Relation, _image_bits
 
 class BugError(RuntimeError):
     """A proven statement failed on a valid instance: implementation bug."""
-
-
-@dataclass(frozen=True, slots=True)
-class HypothesisWindow:
-    """Largest prefix of radii j for which the j-ball around the vertex meets
-    the reverse image only in the vertex itself."""
-
-    vertex: int
-    max_j: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,9 +147,7 @@ def growth_profile(rel: Relation, v: int) -> GrowthProfile:
     return GrowthProfile(v, tuple(balls))
 
 
-def hypothesis_window(rel: Relation, v: int) -> HypothesisWindow:
-    """The window of growth_profile(rel, v), without its balls."""
-    return HypothesisWindow(v, growth_profile(rel, v).max_j)
+hypothesis_window = growth_profile  # the window is the profile's max_j
 
 
 def _require_regular(rel: Relation) -> int:
@@ -378,10 +368,10 @@ class LemmaPowersReport:
         return self.all_preserve_power and self.power_transitive
 
 
-def check_lemma_powers(rel: Relation, i: int, limit: int = 10) -> LemmaPowersReport:
+def check_lemma_powers(rel: Relation, i: int) -> LemmaPowersReport:
     """Every automorphism of the relation is one of its i-th power, and the
     power inherits point-transitivity through the same orbit."""
-    autos = automorphisms_brute(rel, limit)
+    autos = automorphisms_brute(rel)
     power = rel.power(i)
     preserve = all(
         all(power.succ[p[u]] >> p[v] & 1 for u, v in power.edges()) for p in autos
@@ -392,6 +382,9 @@ def check_lemma_powers(rel: Relation, i: int, limit: int = 10) -> LemmaPowersRep
 
 # ---------------------------------------------------------------------------
 # Whole-group girth scan
+
+# generator sets one family run, or one girth scan, may enumerate
+MAX_ENUMERATED_INSTANCES = 200_000
 
 
 @dataclass(slots=True)
@@ -424,6 +417,11 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     inverse = [group.inverse(g) for g in range(n)]
     pairs = [(g, inverse[g]) for g in range(1, n) if g < inverse[g]]
     inverse_free = 3 ** len(pairs) - 1
+    if inverse_free > MAX_ENUMERATED_INSTANCES:
+        raise ValueError(
+            f"girth scan of {group.name} refused: {inverse_free} generator sets"
+            f" exceed {MAX_ENUMERATED_INSTANCES}"
+        )
     tight = 0
     failures: list[VerificationReport] = []
     # girth-2 class: r <= n - 1 always; tight only for the full subset,
@@ -468,25 +466,26 @@ def subsets_of(elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(e for i, e in enumerate(elems) if mask >> i & 1)
 
 
+# built-in family -> (its sizing parameter, the groups for a value of it);
+# cyclic groups are built one at a time
+FAMILIES = {
+    "circulants": ("max_n", lambda k: (cyclic(n) for n in range(2, k + 1))),
+    "cayley_abelian": ("max_order", lambda k: group_catalog(abelian_max=k)),
+    "cayley_dihedral": ("max_m", lambda k: [dihedral(m) for m in range(1, k + 1)]),
+    "cayley_symmetric": ("m", lambda k: [symmetric(k)]),
+}
+
+
 def _family_groups(family: str, params: dict) -> Iterator[FiniteGroup]:
     """The groups of the named built-in family that have a nonempty
-    generator subset; cyclic groups are built one at a time."""
-    if family == "circulants":
-        groups = (cyclic(n) for n in range(2, params["max_n"] + 1))
-    elif family == "cayley_abelian":
-        groups = group_catalog(abelian_max=params["max_order"])
-    elif family == "cayley_dihedral":
-        groups = [dihedral(m) for m in range(1, params["max_m"] + 1)]
-    elif family == "cayley_symmetric":
-        groups = [symmetric(params["m"])]
-    else:
+    generator subset."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    return (group for group in groups if group.n > 1)
+    key, build = FAMILIES[family]
+    return (group for group in build(params[key]) if group.n > 1)
 
 
 ALL_CHECKS = ("main", "growth", "girth", "zerosum")
-
-MAX_ENUMERATED_INSTANCES = 200_000
 
 
 @dataclass(slots=True)
@@ -538,9 +537,7 @@ def run_family(
     checks: Iterable[str] = ALL_CHECKS,
     all_vertices: bool = False,
     bound_delta: int = 0,
-    max_instances: int = MAX_ENUMERATED_INSTANCES,
     files: Iterable[str] = (),
-    brute_limit: int = 10,
     **params,
 ) -> FamilyRun:
     """Run the selected checks over every instance of a family.
@@ -561,7 +558,7 @@ def run_family(
 
         for path in files:
             rel = read_relation(path)
-            if rel.n <= brute_limit and is_point_transitive_brute(rel, brute_limit):
+            if rel.n <= BRUTE_LIMIT and is_point_transitive_brute(rel):
                 certificate = TransitivityCertificate.brute()
             else:
                 certificate = TransitivityCertificate.none()
@@ -580,8 +577,10 @@ def run_family(
             if not per_subset:
                 continue
             count += (1 << (group.n - 1)) - 1
-            if count > max_instances:
-                raise ValueError(f"family {family} exceeds {max_instances} enumerated instances")
+            if count > MAX_ENUMERATED_INSTANCES:
+                raise ValueError(
+                    f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
+                )
             for gens in subsets_of(range(1, group.n)):
                 descriptor = f"Cay({group.name},{list(gens)})"
                 info = {"group": group.name, "gens": list(gens)}

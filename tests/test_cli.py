@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from relgrowth import Relation, cayley_relation, connectivity, cyclic, fileio
+from relgrowth import Relation, cayley_relation, connectivity, cyclic, fileio, theorems
 from relgrowth.cli import main
 from relgrowth.fileio import write_group, write_relation, write_subset
 
@@ -49,10 +49,12 @@ class TestKappaCommand:
         assert "complete: kappa = n-1 = 3" in capsys.readouterr().out
 
     def test_oracle_threshold(self, tmp_path, capsys):
-        rel, _ = cayley_relation(cyclic(6), [1], reflexive=True)
+        # one vertex above the oracle's fixed bound of 14
+        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
         path = tmp_path / "c.rel"
         write_relation(path, rel)
-        assert main(["kappa", str(path), "--oracle", "--oracle-limit", "4"]) == 2
+        assert main(["kappa", str(path), "--oracle"]) == 2
+        assert "refused" in capsys.readouterr().err
 
     def test_oracle_rejects_missing_atoms(self, tmp_path, capsys, monkeypatch):
         # the reflexive 6-cycle has six atoms; a flow result that reports
@@ -121,6 +123,12 @@ class TestVerifyCommand:
                      "--bound-delta", "-1"]) == 0
         assert main(["verify", "circulants", "--max-n", "6", "--checks", "main",
                      "--bound-delta", "1"]) == 1
+
+    def test_girth_scan_bound_exit_two(self, capsys, monkeypatch):
+        # Z11 is the first circulant with more than 100 inverse-free sets
+        monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 100)
+        assert main(["verify", "circulants", "--max-n", "12", "--checks", "girth"]) == 2
+        assert capsys.readouterr().err.startswith("error: girth scan of Z11 refused")
 
     def test_unknown_family_exit_two(self, capsys):
         with pytest.raises(SystemExit):

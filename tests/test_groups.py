@@ -1,5 +1,8 @@
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from relgrowth import (
@@ -30,6 +33,25 @@ NONASSOC = [
 ]
 
 
+def cube_witness(table):
+    """First (g, h, k) in lexicographic order with (g*h)*k != g*(h*k), from
+    the whole n^3 cube at once, or None."""
+    t = np.asarray(table)
+    bad = np.argwhere(t[t] != t[:, t])
+    return tuple(int(v) for v in bad[0]) if bad.size else None
+
+
+def loop_product(m, loop):
+    """Table of Z_m x loop, element (a, b) at index b * m + a: the first m
+    elements associate with everything, so no witness row is below m."""
+    q = len(loop)
+    return [
+        [loop[b1][b2] * m + (a1 + a2) % m for b2 in range(q) for a2 in range(m)]
+        for b1 in range(q)
+        for a1 in range(m)
+    ]
+
+
 class TestValidation:
     def test_cyclic_table_valid(self):
         g = group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -52,6 +74,47 @@ class TestValidation:
         g, h, k = err.value.witness
         t = NONASSOC
         assert t[t[g][h]][k] != t[g][t[h][k]]
+
+    def test_slab_witness_matches_cube(self):
+        # an intercalate switch keeps Z_n's table a Latin square with
+        # identity 0, and usually breaks associativity
+        rng = random.Random(5)
+        tables = []
+        for n in range(4, 65, 2):
+            for _ in range(3):
+                t = [[(a + b) % n for b in range(n)] for a in range(n)]
+                for _ in range(rng.randint(1, 3)):
+                    r, c = rng.randrange(1, n // 2), rng.randrange(1, n // 2)
+                    r2, c2 = r + n // 2, c + n // 2
+                    if t[r][c] == t[r2][c2] and t[r][c2] == t[r2][c]:
+                        t[r][c], t[r][c2] = t[r][c2], t[r][c]
+                        t[r2][c], t[r2][c2] = t[r2][c2], t[r2][c]
+                tables.append(t)
+        # witnesses past the first slab of rows (10 rows at n = 80, 6 at 100)
+        tables += [loop_product(16, NONASSOC), loop_product(20, NONASSOC)]
+        raised = 0
+        for t in tables:
+            expected = cube_witness(t)
+            if expected is None:
+                assert group_from_table(t).n == len(t)
+                continue
+            with pytest.raises(GroupValidationError) as err:
+                group_from_table(t)
+            assert err.value.kind == "NotAssociative"
+            assert err.value.witness == expected
+            raised += 1
+        assert raised > len(tables) // 2
+        assert cube_witness(tables[-1])[0] >= 20
+
+    def test_associativity_memory_bounded(self):
+        table = [[(a + b) % 256 for b in range(256)] for a in range(256)]
+        tracemalloc.start()
+        try:
+            group_from_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_inverses_exist(self):
         g = dihedral(4)
@@ -150,6 +213,8 @@ class TestAutomorphisms:
     def test_threshold_refused(self):
         with pytest.raises(ValueError, match="refused"):
             automorphisms_brute(Relation.identity(11))
+        with pytest.raises(ValueError, match="refused"):
+            is_point_transitive_brute(Relation.identity(11))
 
     def test_certificate_soundness_small_cayley(self):
         for group in catalog_up_to_order(10):

@@ -305,6 +305,12 @@ class TestGirthScan:
         scan = scan_girth_bound(symmetric(3))
         assert scan.girth_two_subsets + scan.scanned_subsets == scan.total_subsets
 
+    def test_refused_above_instance_bound(self, monkeypatch):
+        # Z12 has five inverse pairs, so 3^5 - 1 = 242 inverse-free sets
+        monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 100)
+        with pytest.raises(ValueError, match="Z12 refused: 242 generator sets"):
+            scan_girth_bound(cyclic(12))
+
 
 class TestRunFamily:
     def test_circulants_clean(self):
@@ -322,10 +328,11 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="unknown family"):
             run_family("octonions")
 
-    def test_instance_cap(self):
+    def test_instance_cap(self, monkeypatch):
         # 2047 generator sets up to Z_12
+        monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 1000)
         with pytest.raises(ValueError, match="exceeds 1000 enumerated"):
-            run_family("circulants", max_n=12, checks=("main",), max_instances=1000)
+            run_family("circulants", max_n=12, checks=("main",))
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
