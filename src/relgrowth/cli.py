@@ -43,6 +43,8 @@ def _print_fragment(label: str, fragment: connectivity.Fragment) -> None:
 
 def _cmd_kappa(args) -> int:
     rel = fileio.read_relation(args.relation)
+    # the oracle runs first, so its refusal of a large n comes before any output
+    oracle = connectivity.atoms_oracle(rel) if args.oracle else None
     result = connectivity.kappa(rel)
     if result.complete:
         print(f"complete: kappa = n-1 = {result.kappa}")
@@ -51,8 +53,8 @@ def _cmd_kappa(args) -> int:
         print(f"atom size = {result.atom_size}")
         for i, atom in enumerate(result.atoms):
             _print_fragment(f"atom {i}", atom)
-    if args.oracle:
-        value, atoms = connectivity.atoms_oracle(rel)
+    if oracle is not None:
+        value, atoms = oracle
         agree = value == result.kappa and {a.set.bits for a in result.atoms} == {
             a.set.bits for a in atoms
         }

@@ -3,21 +3,27 @@
 kappa(rel) is the minimum of |image(X) \\ X| over nonempty X with
 X + image(X) != V; a minimizer is a fragment, a minimum-cardinality
 fragment is an atom.  The engine is a unit-capacity maximum flow on the
-vertex-split digraph, one network per relation and direction, reused
-across (s, t) pairs; the inclusion-minimal optimal source side is read off
-residual reachability, the bottom of the min-cut lattice.  kappa and every
-atom take O((kappa + a) * n) flows, a the atom size, not one per ordered
-pair: Even's source reduction finds kappa from at most kappa + 1 sources on
-the relation and its reverse, and every atom containing s is the bottom of
-a flow from s to one of its first a non-successors (see kappa).
+vertex-split digraph, run as bitmask frontiers: one cut kernel per
+direction holds the loop-free successor and predecessor masks, reaches a
+whole frontier with one OR per frontier vertex, and reads the
+inclusion-minimal optimal source side off residual reachability, the
+bottom of the min-cut lattice.  Phase 1 (Even's super-source reduction)
+finds kappa from the flows between the separable pairs of vertices
+0..delta, delta the least out-degree of a feasible singleton, plus one
+flow per later vertex j on each direction from the vertices before it;
+phase 2 finds every atom containing s from at most a flows, a the atom
+size (see kappa).
 
 fragments_oracle is the independent brute-force route (all 2^n - 1
 subsets, numpy-vectorized); the two must agree and the tests insist on it.
+The oracle reads the reverse's atoms off the same pass: X -> V \\ (X +
+image(X)) maps the minimizers onto the reverse's, keeping the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,71 +62,101 @@ class ConnectivityResult:
     atoms: tuple[Fragment, ...]
 
 
-class _FlowNet:
-    """Unit-capacity flow network; vertex v splits into 2v (in) and 2v+1 (out).
+class _CutKernel:
+    """Vertex cuts on one direction of a relation as bitmask searches.
 
-    Built once per relation and reused across (s, t) pairs: every cut
-    starts from the saved initial capacities."""
+    Vertex v splits into an in-node and an out-node joined by an arc of
+    capacity 1; each arc u -> v (u != v, loops never contribute to a
+    boundary) joins u's out-node to v's in-node with unbounded capacity.
+    The flow is a mask of used vertices, whose own arcs are full, and per
+    used vertex the bit of its flow predecessor (prv) and its flow
+    successor (nxt).  The reverse direction is the kernel with succ and
+    pred swapped."""
 
-    def __init__(self, rel: Relation):
-        n = rel.n
-        self.size = 2 * n
-        # adj[node] lists (edge, head node); edge e ^ 1 is the reverse of e
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        big = n + 1
-        for v in range(n):
-            self._add(2 * v, 2 * v + 1, 1)
-        for u in range(n):
-            for v in _iter_bits(rel.succ[u]):
-                if u != v:  # loops never contribute to a boundary
-                    self._add(2 * u + 1, 2 * v, big)
-        self.cap0 = tuple(self.cap)
+    __slots__ = ("succ", "pred")
 
-    def _add(self, a: int, b: int, c: int) -> None:
-        self.adj[a].append((len(self.to), b))
-        self.to.append(b)
-        self.cap.append(c)
-        self.adj[b].append((len(self.to), a))
-        self.to.append(a)
-        self.cap.append(0)
+    def __init__(self, succ: list[int], pred: list[int]):
+        self.succ, self.pred = succ, pred
 
-    def min_cut(self, s: int, t: int) -> tuple[int, int]:
-        """Minimum |image(X) \\ X| over X with s in X and t outside
-        X + image(X), and the bits of the inclusion-minimal optimal X.
-        The caller ensures t is not a successor of s."""
-        self.cap[:] = self.cap0
-        source, sink = 2 * s + 1, 2 * t
-        adj, cap = self.adj, self.cap
-        value = 0
+    def cut(self, first: int, origin: int, t: int) -> tuple[int, int]:
+        """Maximum number of vertex-disjoint paths from the source node to
+        t's in-node, and the bits of the inclusion-minimal optimal side.
+
+        The source node reaches the in-nodes of `first`.  It is s's
+        out-node when origin is 1 << s and first is s's successors (the
+        caller ensures t is not one of them); with origin 0 it is a
+        super-source outside V joined to the in-nodes of the sources
+        `first`, which t must not be among."""
+        succ, pred = self.succ, self.pred
+        n, into_t = len(succ), pred[t]
+        # the paths of length 2, all at once; their entries below are the
+        # defaults, and every other entry is written before it is read
+        used = first & into_t
+        value = used.bit_count()
+        prv, nxt = [origin] * n, [t] * n
         while True:
-            # breadth-first search for an augmenting path; once none is
-            # left, the nodes it reached are the minimal source side
-            parent_edge = [-1] * self.size
-            parent_edge[source] = -2
-            queue = [source]
-            for u in queue:
-                for e, w in adj[u]:
-                    if cap[e] > 0 and parent_edge[w] == -1:
-                        parent_edge[w] = e
-                        queue.append(w)
-                if parent_edge[sink] != -1:
+            # breadth-first search in alternating layers of in-nodes and
+            # out-nodes; once t is out of reach, the out-nodes reached are
+            # the minimal source side
+            layers = [first]
+            seen_in = frontier = first
+            seen_out = origin
+            while frontier:
+                # a free in-node crosses its own arc, a used one steps back
+                # along the flow arc that enters it
+                step = frontier & ~used
+                back = frontier & used
+                while back:
+                    low = back & -back
+                    step |= prv[low.bit_length() - 1]
+                    back ^= low
+                step &= ~seen_out
+                seen_out |= step
+                layers.append(step)
+                if step & into_t:
                     break
+                # an out-node reaches all its successors' in-nodes, and a
+                # used vertex's own in-node backwards
+                reach = step & used
+                while step:
+                    low = step & -step
+                    reach |= succ[low.bit_length() - 1]
+                    step ^= low
+                frontier = reach & ~seen_in
+                seen_in |= frontier
+                layers.append(frontier)
             else:
-                break
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-                v = self.to[e ^ 1]
+                return value, seen_out
+            # augment along the path rebuilt from t back through the layers
+            # (the out-node of u is entered only from u's in-node when u is
+            # free, and only from nxt[u]'s in-node when u is used)
+            v = t
+            for i in range(len(layers) - 1, 0, -2):
+                feeders = layers[i] & pred[v]
+                if feeders:
+                    u = (feeders & -feeders).bit_length() - 1
+                    prv[v] = 1 << u
+                    if used >> u & 1:
+                        v, nxt[u] = nxt[u], v
+                    else:
+                        used |= 1 << u
+                        nxt[u], v = v, u
+                else:
+                    # the path came back down v's own arc: v is freed
+                    used ^= 1 << v
+                    v = nxt[v]
+            prv[v] = origin
             value += 1
-        x_bits = 0
-        for node in queue:
-            if node & 1:
-                x_bits |= 1 << (node >> 1)
-        return value, x_bits
+
+
+def _cut_kernels(rel: Relation) -> tuple[_CutKernel, _CutKernel]:
+    """The cut kernels of rel and of its reverse."""
+    succ = [s & ~(1 << v) for v, s in enumerate(rel.succ)]
+    pred = [0] * rel.n
+    for u, s in enumerate(succ):
+        for v in _iter_bits(s):
+            pred[v] |= 1 << u
+    return _CutKernel(succ, pred), _CutKernel(pred, succ)
 
 
 def min_separating_set(
@@ -136,7 +172,8 @@ def min_separating_set(
             raise ValueError(f"vertex {v} out of range for n={rel.n}")
     if rel.succ[s] >> t & 1:
         return None
-    value, x_bits = _FlowNet(rel).min_cut(s, t)
+    forward, _ = _cut_kernels(rel)
+    value, x_bits = forward.cut(forward.succ[s], 1 << s, t)
     return value, VertexSet(rel.n, x_bits)
 
 
@@ -145,44 +182,52 @@ def kappa(rel: Relation) -> ConnectivityResult:
 
     If every ordered pair is inseparable (each vertex reaches all others in
     one step) the relation behaves as complete: kappa = n - 1, atoms
-    undefined.  Otherwise two phases of (s, t) flows, one reused network per
-    direction:
+    undefined.  Otherwise two phases of cuts on one kernel per direction:
 
-    1. kappa (Even): every flow from sources 0, 1, .. on rel and on its
-       reverse, until as many sources as the best value so far are done.
-       If that value exceeded kappa, kappa + 1 sources were done and one
-       of them misses a minimum separator S: it lies in a fragment X (a
-       forward flow finds kappa) or in Y = V \\ (X + S), a reverse fragment
-       with boundary inside S (a reverse flow finds kappa).  Each reverse
-       optimum Y also yields the kappa-fragment V \\ (Y + reverse image(Y)),
-       which bounds the atom size a from above.
+    1. kappa (Even's super-source reduction): delta, the least
+       |image(v) \\ {v}| over the vertices whose closed successor set is not
+       V, bounds kappa.  Cut every separable ordered pair among vertices
+       0..delta forward, and for each j = delta+1..n-1 cut from a
+       super-source over 0..j-1 to j, forward and on the reverse.  A super
+       cut below j leaves a source uncut, so it bounds a fragment and never
+       reads below kappa.  For a minimum separator S = image(X) \\ X, with
+       Y = V \\ (X + S) (a reverse fragment with boundary inside S), the
+       first vertex outside S is at most delta.  If it lies in X and the
+       first vertex g of Y is at most delta, the pair (it, g) reads |S|;
+       otherwise the forward super cut into g does, as 0..g-1 lie in
+       X + S.  The case in Y is the same with X and Y swapped: the pair
+       runs forward from the first vertex of X, the super cut on the
+       reverse.  So phase 1 takes at most delta (delta + 1) + 2 (n - delta - 1)
+       cuts.  Each reverse optimum Y also yields the kappa-fragment
+       V \\ (Y + reverse image(Y)), which with the forward optima bounds the
+       atom size a from above.
     2. atoms: an atom A containing s is the minimal side of (s, t) for any
        t outside A + image(A), a set of a + kappa vertices that holds s and
        its successors; so the first a + kappa - |{s} + image(s)| + 1
-       non-successors t of s include such a t.  That is at most a flows,
-       as {s} is a feasible set whose boundary has at least kappa vertices.
+       non-successors t of s include such a t.  That is at most a cuts per
+       source, as {s} is a feasible set whose boundary has at least kappa
+       vertices, and the pair cuts of phase 1 are reused.
     """
     n = rel.n
     if n < 2:
         raise ValueError("kappa requires at least 2 vertices")
     full = (1 << n) - 1
-    if all(succ | 1 << v == full for v, succ in enumerate(rel.succ)):
+    forward, back = _cut_kernels(rel)
+    succ = forward.succ
+    degrees = [s.bit_count() for v, s in enumerate(succ) if s | 1 << v != full]
+    if not degrees:
         return ConnectivityResult(n - 1, True, None, None, ())
-    back = rel.reverse()
-    forward_net, back_net = _FlowNet(rel), _FlowNet(back)
-    best = n  # above every separation value, which is at most n - 2
-    cuts: list[tuple[int, int]] = []  # forward (value, x bits)
-    back_cuts: list[tuple[int, int]] = []  # reverse (value, y bits)
-    sources = 0
-    while sources < best:
-        s = sources
-        for net, succ, found in ((forward_net, rel.succ, cuts),
-                                 (back_net, back.succ, back_cuts)):
-            for t in _iter_bits(full & ~(succ[s] | 1 << s)):
-                value, side = net.min_cut(s, t)
-                found.append((value, side))
-                best = min(best, value)
-        sources += 1
+    delta = min(degrees)
+    low = (2 << delta) - 1  # vertices 0..delta
+    pair_cuts = {
+        (s, t): forward.cut(succ[s], 1 << s, t)
+        for s in range(delta + 1)
+        for t in _iter_bits(low & ~(succ[s] | 1 << s))
+    }
+    cuts = list(pair_cuts.values())
+    cuts += [forward.cut((1 << j) - 1, 0, j) for j in range(delta + 1, n)]
+    back_cuts = [back.cut((1 << j) - 1, 0, j) for j in range(delta + 1, n)]
+    best = min(value for value, _ in cuts + back_cuts)
     sides = {x for value, x in cuts if value == best}
     atom_size = min(
         [x.bit_count() for x in sides]
@@ -192,12 +237,12 @@ def kappa(rel: Relation) -> ConnectivityResult:
             if value == best
         ]
     )
-    for s in range(sources, n):
-        closed = rel.succ[s] | 1 << s
+    for s in range(n):
+        closed = succ[s] | 1 << s
         for tried, t in enumerate(_iter_bits(full & ~closed)):
             if tried > atom_size + best - closed.bit_count():
                 break
-            value, x = forward_net.min_cut(s, t)
+            value, x = pair_cuts.get((s, t)) or forward.cut(succ[s], 1 << s, t)
             if value == best:
                 sides.add(x)
                 atom_size = min(atom_size, x.bit_count())
@@ -210,10 +255,11 @@ def kappa(rel: Relation) -> ConnectivityResult:
     return ConnectivityResult(best, False, atoms[0], atom_size, atoms)
 
 
-def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray]:
-    """(kappa, every minimizer of the boundary size as a mask, their sizes),
-    enumerating every nonempty subset.  A complete-type relation (no
-    feasible subset at all) has kappa n - 1 and no minimizers."""
+def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(kappa, every minimizer X of the boundary size as a mask, their
+    sizes, their boundaries image(X) \\ X as masks), enumerating every
+    nonempty subset.  A complete-type relation (no feasible subset at all)
+    has kappa n - 1 and no minimizers."""
     n = rel.n
     if n < 2:
         raise ValueError("oracle requires at least 2 vertices")
@@ -229,15 +275,21 @@ def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray]:
         sizes[1 << v : 2 << v] = sizes[: 1 << v] + 1
     feasible = (masks != 0) & ((masks | images) != (1 << n) - 1)
     if not feasible.any():
-        return n - 1, masks[:0], masks[:0]
-    boundary_sizes = sizes[images & ~masks]
+        return n - 1, masks[:0], masks[:0], masks[:0]
+    boundaries = images & ~masks
+    boundary_sizes = sizes[boundaries]
     value = int(boundary_sizes[feasible].min())
     hits = masks[feasible & (boundary_sizes == value)]
-    return value, hits, sizes[hits]
+    return value, hits, sizes[hits], boundaries[hits]
 
 
-def _sorted_fragments(rel: Relation, masks: np.ndarray) -> list[Fragment]:
-    fragments = [Fragment.of(rel, VertexSet(rel.n, int(m))) for m in masks]
+def _sorted_fragments(
+    n: int, sets: np.ndarray, boundaries: np.ndarray, value: int
+) -> list[Fragment]:
+    fragments = [
+        Fragment(VertexSet(n, int(x)), VertexSet(n, int(b)), value)
+        for x, b in zip(sets, boundaries)
+    ]
     fragments.sort(key=Fragment.sort_key)
     return fragments
 
@@ -246,17 +298,31 @@ def fragments_oracle(rel: Relation) -> tuple[int, list[Fragment]]:
     """Brute-force route: enumerate every nonempty subset, keep all
     minimizers of the boundary size.  Complete-type relations (no feasible
     subset at all) give (n - 1, [])."""
-    value, hits, _ = _oracle_minimizers(rel)
-    return value, _sorted_fragments(rel, hits)
+    value, hits, _, boundaries = _oracle_minimizers(rel)
+    return value, _sorted_fragments(rel.n, hits, boundaries, value)
+
+
+def _oracle_atoms(rel: Relation) -> tuple[int, list[Fragment], list[Fragment]]:
+    """(kappa, atoms, atoms of the reverse) from one oracle pass.
+    X -> V \\ (X + image(X)) maps the minimizers one to one onto the
+    reverse's, keeping the boundary, so the reverse's atoms come from the
+    largest X."""
+    value, hits, sizes, boundaries = _oracle_minimizers(rel)
+    if not hits.size:
+        return value, [], []
+    least, largest = sizes == sizes.min(), sizes == sizes.max()
+    rests = ((1 << rel.n) - 1) & ~(hits | boundaries)
+    return (
+        value,
+        _sorted_fragments(rel.n, hits[least], boundaries[least], value),
+        _sorted_fragments(rel.n, rests[largest], boundaries[largest], value),
+    )
 
 
 def atoms_oracle(rel: Relation) -> tuple[int, list[Fragment]]:
-    """(kappa, atoms) via the brute-force oracle; atoms empty when complete.
-    Only the minimizers of least size become Fragments."""
-    value, hits, sizes = _oracle_minimizers(rel)
-    if not hits.size:
-        return value, []
-    return value, _sorted_fragments(rel, hits[sizes == sizes.min()])
+    """(kappa, atoms) via the brute-force oracle; atoms empty when complete."""
+    value, atoms, _ = _oracle_atoms(rel)
+    return value, atoms
 
 
 def atom_containing(rel: Relation, v: int) -> Fragment | None:
@@ -293,23 +359,28 @@ class AtomDisjointnessReport:
         return self.forward_disjoint or self.reverse_disjoint
 
 
-def _kappa_and_atoms(rel: Relation, engine: str) -> tuple[int, tuple[Fragment, ...]]:
-    """(kappa, atoms); atoms empty for complete-type relations.  The oracle
-    engine is only valid up to ORACLE_LIMIT vertices but much faster there."""
+def _atoms_both_ways(
+    rel: Relation, engine: str
+) -> tuple[int, tuple[Fragment, ...], Callable[[], tuple[Fragment, ...]]]:
+    """(kappa, atoms, a call giving the reverse's atoms); atoms are empty
+    for complete-type relations, on both sides at once.  The oracle engine
+    is only valid up to ORACLE_LIMIT vertices but much faster there, and
+    reads both sides off one pass; the flow engine runs the reverse only
+    when the call is made."""
     if engine == "oracle":
-        value, atoms = atoms_oracle(rel)
-        return value, tuple(atoms)
+        value, forward, reverse = _oracle_atoms(rel)
+        return value, tuple(forward), lambda: tuple(reverse)
     result = kappa(rel)
-    return result.kappa, result.atoms
+    return result.kappa, result.atoms, lambda: kappa(rel.reverse()).atoms
 
 
 def check_atom_disjointness(rel: Relation, engine: str = "flow") -> AtomDisjointnessReport:
     """Atoms of rel and of its reverse; disjointness must hold on at least
     one side (a proven fact), so a double failure marks a bug upstream."""
-    _, forward_atoms = _kappa_and_atoms(rel, engine)
-    _, reverse_atoms = _kappa_and_atoms(rel.reverse(), engine)
-    if not forward_atoms or not reverse_atoms:
+    _, forward_atoms, reverse = _atoms_both_ways(rel, engine)
+    if not forward_atoms:
         raise AtomsUndefinedError("atoms are undefined for a complete relation")
+    reverse_atoms = reverse()
     return AtomDisjointnessReport(
         forward_atoms,
         reverse_atoms,
@@ -341,16 +412,13 @@ def check_proposition_basic(
 
     if not certified and not is_point_transitive_brute(rel):
         return PropositionReport(False, "not point-transitive")
-    value, forward_atoms = _kappa_and_atoms(rel, engine)
+    value, forward_atoms, reverse = _atoms_both_ways(rel, engine)
     if not forward_atoms:
         return PropositionReport(False, "complete relation: no fragments")
     if value == 0:
         # disconnected: atoms are whole closed components, exceeding kappa=0
         return PropositionReport(False, "not connected")
-    _, reverse_atoms = _kappa_and_atoms(rel.reverse(), engine)
-    if not reverse_atoms:
-        return PropositionReport(False, "reverse is complete: no fragments")
-    if len(forward_atoms[0].set) > len(reverse_atoms[0].set):
+    if len(forward_atoms[0].set) > len(reverse()[0].set):
         return PropositionReport(False, "hypothesis a(rel) <= a(reverse) fails")
     atom = forward_atoms[0]
     induced, _ = rel.restriction(atom.set)

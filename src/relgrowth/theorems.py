@@ -411,17 +411,25 @@ class GirthScanResult:
         return not self.failures
 
 
-def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
-    n = group.n
-    total = (1 << (n - 1)) - 1 if n > 1 else 0
-    inverse = [group.inverse(g) for g in range(n)]
-    pairs = [(g, inverse[g]) for g in range(1, n) if g < inverse[g]]
+def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
+    """The pairs (g, g^-1) with g < g^-1, whose 3^pairs - 1 choices are the
+    inverse-free generator sets; refuses a group with more of those than a
+    girth scan may enumerate."""
+    pairs = [(g, h) for g in range(1, group.n) if g < (h := group.inverse(g))]
     inverse_free = 3 ** len(pairs) - 1
     if inverse_free > MAX_ENUMERATED_INSTANCES:
         raise ValueError(
             f"girth scan of {group.name} refused: {inverse_free} generator sets"
             f" exceed {MAX_ENUMERATED_INSTANCES}"
         )
+    return pairs
+
+
+def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
+    n = group.n
+    total = (1 << (n - 1)) - 1 if n > 1 else 0
+    pairs = _inverse_pairs(group)
+    inverse_free = 3 ** len(pairs) - 1
     tight = 0
     failures: list[VerificationReport] = []
     # girth-2 class: r <= n - 1 always; tight only for the full subset,
@@ -570,17 +578,24 @@ def run_family(
             )
     else:
         per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
+        # refuse an oversized family before the first group is scanned
+        family_groups = []
         count = 0
         for group in _family_groups(family, params):
+            if "girth" in selected:
+                _inverse_pairs(group)
+            if per_subset:
+                count += (1 << (group.n - 1)) - 1
+                if count > MAX_ENUMERATED_INSTANCES:
+                    raise ValueError(
+                        f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
+                    )
+            family_groups.append(group)
+        for group in family_groups:
             if "girth" in selected:
                 girth_scans.append(scan_girth_bound(group))
             if not per_subset:
                 continue
-            count += (1 << (group.n - 1)) - 1
-            if count > MAX_ENUMERATED_INSTANCES:
-                raise ValueError(
-                    f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
-                )
             for gens in subsets_of(range(1, group.n)):
                 descriptor = f"Cay({group.name},{list(gens)})"
                 info = {"group": group.name, "gens": list(gens)}

@@ -56,6 +56,15 @@ class TestKappaCommand:
         assert main(["kappa", str(path), "--oracle"]) == 2
         assert "refused" in capsys.readouterr().err
 
+    def test_oracle_refusal_before_output(self, tmp_path, capsys):
+        # the refusal depends only on n, so no flow result is printed first
+        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
+        path = tmp_path / "c.rel"
+        write_relation(path, rel)
+        assert main(["kappa", str(path), "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "refused" in captured.err
+
     def test_oracle_rejects_missing_atoms(self, tmp_path, capsys, monkeypatch):
         # the reflexive 6-cycle has six atoms; a flow result that reports
         # only the first of them must not pass the cross-check

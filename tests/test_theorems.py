@@ -334,6 +334,18 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="exceeds 1000 enumerated"):
             run_family("circulants", max_n=12, checks=("main",))
 
+    def test_oversized_family_refused_before_any_scan(self, monkeypatch):
+        # Z11 is the first circulant with more than 100 inverse-free sets
+        monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 100)
+        scanned = []
+        scan = theorems.scan_girth_bound
+        monkeypatch.setattr(
+            theorems, "scan_girth_bound", lambda group: scanned.append(group.name) or scan(group)
+        )
+        with pytest.raises(ValueError, match="girth scan of Z11 refused"):
+            run_family("circulants", max_n=12, checks=("girth",))
+        assert scanned == []
+
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_family("circulants", max_n=4, checks=("mane",))
