@@ -81,7 +81,11 @@ def read_group(path: str | os.PathLike) -> FiniteGroup:
         raise ParseError(path, number, f"expected {n} table rows, got {len(lines) - 1}")
     table = []
     for number, text in lines[1:]:
-        row = [_parse_int(path, number, tok, "table entry") for tok in text.split()]
+        tokens = text.split()
+        try:
+            row = list(map(int, tokens))
+        except ValueError:  # parse again token by token to name the bad one
+            row = [_parse_int(path, number, tok, "table entry") for tok in tokens]
         if len(row) != n:
             raise ParseError(path, number, f"expected {n} entries, got {len(row)}")
         table.append(row)

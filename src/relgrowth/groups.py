@@ -59,24 +59,81 @@ def group_from_table(
 
     Checks: square with in-range entries, element 0 a two-sided identity,
     every row and column a permutation, associativity for all triples.
-    Triples are compared one slab of rows g at a time (about 2^16 triples,
-    at least one row), so memory stays O(n^2); the witness reported is the
-    lexicographically first triple that fails.
+
+    Associativity is accepted by Light's test (Clifford & Preston 1961,
+    section 1.2) in O(n^2 log n): the elements a with (x*a)*y == x*(a*y)
+    for all x, y are closed under products and contain the identity, so
+    if they include a set of elements whose products reach every element,
+    the table is associative.  Such a set is built greedily (see
+    `_light_generators`); in a group each new generator at least doubles
+    the subgroup reached so far (Lagrange), so a table needing more than
+    floor(log2 n) of them is not a group.  A table that fails either way
+    is refused by the exact check, which compares all triples one slab of
+    rows g at a time (about 2^16 triples, at least one row) in O(n^2)
+    memory and reports the lexicographically first triple that fails.
     """
     n = len(table)
     if n == 0:
         raise GroupValidationError("EmptyTable")
-    t = np.asarray(table, dtype=np.int64)
+    try:
+        t = np.asarray(table, dtype=np.int64)
+    except OverflowError:  # an entry outside int64 is out of range anyway
+        raise GroupValidationError("MalformedTable") from None
     if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
         raise GroupValidationError("MalformedTable")
     idx = np.arange(n)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise GroupValidationError("NoIdentityAtZero")
     if not (
-        np.array_equal(np.sort(t, axis=1), np.tile(idx, (n, 1)))
-        and np.array_equal(np.sort(t, axis=0), np.tile(idx[:, None], (1, n)))
+        (np.sort(t, axis=1) == idx).all() and (np.sort(t, axis=0) == idx[:, None]).all()
     ):
         raise GroupValidationError("NotLatinSquare")
+    rows = t.tolist()
+    gens = _light_generators(rows)
+    if gens is None or not all(
+        np.array_equal(t[t[:, a]], t[:, t[a]]) for a in gens  # (x*a)*y, x*(a*y)
+    ):
+        _raise_first_nonassociative(t)
+    return FiniteGroup(n, tuple(map(tuple, rows)), name)
+
+
+def _light_generators(rows: list[list[int]]) -> list[int] | None:
+    """Generators whose left-to-right products from the identity reach
+    every element: repeatedly add the least element not yet reached.
+    None if more than floor(log2 n) are needed, which no group needs."""
+    n = len(rows)
+    limit = n.bit_length() - 1
+    reached = bytearray(n)
+    reached[0] = 1
+    found = [0]
+    gens: list[int] = []
+    while len(found) < n:
+        if len(gens) == limit:
+            return None
+        a = reached.index(0)
+        gens.append(a)
+        start = len(found)
+        for i in range(start):  # everything reached so far, times a
+            y = rows[found[i]][a]
+            if not reached[y]:
+                reached[y] = 1
+                found.append(y)
+        i = start
+        while i < len(found):  # each new element, times every generator
+            row = rows[found[i]]
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = 1
+                    found.append(y)
+            i += 1
+    return gens
+
+
+def _raise_first_nonassociative(t: np.ndarray) -> None:
+    """Raise NotAssociative at the lexicographically first (g, h, k) with
+    (g*h)*k != g*(h*k); return if there is none."""
+    n = len(t)
     step = max(1, 2**16 // n**2)
     for start in range(0, n, step):
         rows = t[start : start + step]
@@ -86,7 +143,6 @@ def group_from_table(
         if bad.any():
             i, h, k = (int(v) for v in np.argwhere(bad)[0])
             raise GroupValidationError("NotAssociative", (start + i, h, k))
-    return FiniteGroup(n, tuple(tuple(int(v) for v in row) for row in t), name)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -1,9 +1,27 @@
+import contextlib
 import dataclasses
+import io
 import json
+import resource
+import tempfile
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relgrowth import Relation, cayley_relation, connectivity, cyclic, fileio, theorems
+from relgrowth import (
+    Relation,
+    cayley_relation,
+    connectivity,
+    cyclic,
+    dihedral,
+    direct_product,
+    fileio,
+    theorems,
+)
 from relgrowth.cli import main
 from relgrowth.fileio import write_group, write_relation, write_subset
 
@@ -189,6 +207,101 @@ class TestZerosumCommand:
         write_group(grp, cyclic(6))
         write_subset(sub, [0, 2])
         assert main(["zerosum", str(grp), str(sub)]) == 2
+
+    @pytest.mark.parametrize("entry", ["99999999999999999999999", "-99999999999999999999999"])
+    def test_entry_outside_int64_exit_two(self, tmp_path, capsys, entry):
+        grp, sub = tmp_path / "big.grp", tmp_path / "s.txt"
+        grp.write_text(f"2\n0 1\n1 {entry}\n")
+        sub.write_text("1\n")
+        assert main(["zerosum", str(grp), str(sub)]) == 2
+        assert capsys.readouterr().err == "error: MalformedTable\n"
+
+    def test_order_1024_time_and_memory(self, tmp_path, capsys):
+        # a relabelled D512: rotation k at k, reflection at 512 + k, then
+        # element a renamed perm[a]
+        n, m = 1024, 512
+        a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        (f1, k1), (f2, k2) = np.divmod(a, m), np.divmod(b, m)
+        base = (k1 + np.where(f1 == 0, k2, -k2)) % m + m * (f1 ^ f2)
+        rng = np.random.default_rng(1024)
+        perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        table = np.empty_like(base)
+        table[np.ix_(perm, perm)] = perm[base]
+        rows = table.tolist()
+        grp, sub = tmp_path / "d512.grp", tmp_path / "s.txt"
+        grp.write_text(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        subset = sorted(int(perm[x]) for x in (3, 700, 901))  # two reflections
+        write_subset(sub, subset)
+        start = time.perf_counter()
+        code = main(["zerosum", str(grp), str(sub)])
+        elapsed = time.perf_counter() - start
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert code == 0
+        lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        sequence = [int(x) for x in lines["sequence"].split()]
+        assert sequence and set(sequence) <= set(subset)
+        acc = 0
+        for x in sequence:
+            acc = rows[acc][x]
+        assert acc == 0
+        assert int(lines["k"]) == len(sequence) <= int(lines["bound"]) == 342
+        # 0.3-0.5 s on a 2-core box; the n^3 check took 6-7 s
+        assert elapsed < 3.0
+        # the whole test process, so the peak of earlier tests counts too
+        assert peak_mb < 400
+
+
+FUZZ_GROUPS = [cyclic(4), dihedral(3), direct_product(cyclic(2), cyclic(2)), cyclic(7)]
+FUZZ_KINDS = ("entry", "short_row", "long_row", "drop_line", "extra_line", "header", "subset")
+FUZZ_VALUES = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64, 10**23, -(10**23), -1, 0]),
+    st.text(alphabet="0123456789-+_.xe# \u0661", min_size=0, max_size=6),
+)
+
+
+class TestZerosumFuzz:
+    @given(
+        group=st.sampled_from(FUZZ_GROUPS),
+        kind=st.sampled_from(FUZZ_KINDS),
+        where=st.integers(min_value=0, max_value=10**6),
+        value=FUZZ_VALUES,
+    )
+    @example(group=FUZZ_GROUPS[0], kind="entry", where=5, value=10**23)
+    @example(group=FUZZ_GROUPS[1], kind="entry", where=7, value=-(10**23))
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_files_exit_zero_or_two(self, group, kind, where, value):
+        """Mutated .grp and subset files give exit 0 or 2 with an error
+        line, and no exception escapes."""
+        n = group.n
+        rows = [[str(v) for v in row] for row in group.table]
+        subset = ["1", str(n - 1)]
+        header = str(n)
+        r, c = where % n, where // n % n
+        if kind == "entry":
+            rows[r][c] = str(value)
+        elif kind == "short_row":
+            del rows[r][c]
+        elif kind == "long_row":
+            rows[r].insert(c, str(value))
+        elif kind == "drop_line":
+            del rows[r]
+        elif kind == "extra_line":
+            rows.insert(r, [str(value)])
+        elif kind == "header":
+            header = str(value)
+        else:
+            subset[where % 2] = str(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            grp, sub = Path(tmp) / "g.grp", Path(tmp) / "s.txt"
+            grp.write_text("".join(f"{line}\n" for line in [header] + [" ".join(row) for row in rows]))
+            sub.write_text("".join(f"{line}\n" for line in subset))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["zerosum", str(grp), str(sub)])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")
+        assert (code == 0) == out.getvalue().startswith("k = ")
 
 
 class TestGenCommand:

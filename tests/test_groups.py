@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgrowth import (
     GroupValidationError,
@@ -21,7 +23,8 @@ from relgrowth import (
     is_point_transitive_brute,
     symmetric,
 )
-from relgrowth.groups import GroupSubset, orbit_of_zero
+from relgrowth import groups
+from relgrowth.groups import GroupSubset, _light_generators, orbit_of_zero
 
 # order-5 Latin square with identity row/column that is not associative
 NONASSOC = [
@@ -30,6 +33,29 @@ NONASSOC = [
     [2, 3, 4, 0, 1],
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
+]
+
+# Latin squares with identity 0 that no partial Light's test may accept.
+# SLOW7: the generators 1 and 2 reach only {0, 1, 2, 3}, so a third is
+# needed, past floor(log2 7) = 2; no element but 0 is associative.
+SLOW7 = [
+    [0, 1, 2, 3, 4, 5, 6],
+    [1, 0, 3, 4, 2, 6, 5],
+    [2, 3, 0, 5, 6, 1, 4],
+    [3, 2, 1, 6, 5, 4, 0],
+    [4, 5, 6, 0, 1, 2, 3],
+    [5, 6, 4, 1, 0, 3, 2],
+    [6, 4, 5, 2, 3, 0, 1],
+]
+# HALF6: the generator 1 reaches the subsquare {0, 1, 2}, half the table,
+# and passes Light's check; the generator 3 fails it.
+HALF6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 0, 2, 1],
+    [4, 5, 3, 2, 1, 0],
+    [5, 3, 4, 1, 0, 2],
 ]
 
 
@@ -50,6 +76,62 @@ def loop_product(m, loop):
         for b1 in range(q)
         for a1 in range(m)
     ]
+
+
+def relabel(table, perm):
+    """The table with element a renamed perm[a] (perm[0] == 0)."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def intercalates(table):
+    """Every 2x2 subsquare (r1, r2, c1, c2) off row and column 0."""
+    n = len(table)
+    column = [{v: c for c, v in enumerate(row)} for row in table]
+    found = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = column[r1][table[r2][c1]]
+                if c2 > c1 and table[r2][c2] == table[r1][c1]:
+                    found.append((r1, r2, c1, c2))
+    return found
+
+
+def matches_cube(table):
+    """group_from_table accepts the table iff cube_witness finds no failing
+    triple, and otherwise raises NotAssociative at that triple.  Returns
+    whether it was refused."""
+    expected = cube_witness(table)
+    if expected is None:
+        assert group_from_table(table).table == tuple(map(tuple, table))
+        return False
+    with pytest.raises(GroupValidationError) as err:
+        group_from_table(table)
+    assert err.value.kind == "NotAssociative"
+    assert err.value.witness == expected
+    return True
+
+
+EVEN_CATALOG = [g for g in catalog_up_to_order(24) if g.n % 2 == 0 and g.n >= 4]
+
+
+@st.composite
+def switched_catalog_tables(draw):
+    """A catalog table of even order, relabelled, with at most one
+    intercalate switch off row and column 0."""
+    group = draw(st.sampled_from(EVEN_CATALOG))
+    perm = [0] + draw(st.permutations(range(1, group.n)))
+    t = relabel(group.table, perm)
+    if draw(st.booleans()):
+        r1, r2, c1, c2 = draw(st.sampled_from(intercalates(t)))
+        t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+        t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    return t
 
 
 class TestValidation:
@@ -92,19 +174,56 @@ class TestValidation:
                 tables.append(t)
         # witnesses past the first slab of rows (10 rows at n = 80, 6 at 100)
         tables += [loop_product(16, NONASSOC), loop_product(20, NONASSOC)]
-        raised = 0
-        for t in tables:
-            expected = cube_witness(t)
-            if expected is None:
-                assert group_from_table(t).n == len(t)
-                continue
-            with pytest.raises(GroupValidationError) as err:
-                group_from_table(t)
-            assert err.value.kind == "NotAssociative"
-            assert err.value.witness == expected
-            raised += 1
+        raised = sum(matches_cube(t) for t in tables)
         assert raised > len(tables) // 2
         assert cube_witness(tables[-1])[0] >= 20
+
+    def test_light_matches_cube(self):
+        # Z_m x NONASSOC: the first generator, 1, associates with everything
+        tables = [NONASSOC, SLOW7, HALF6, loop_product(3, NONASSOC), loop_product(7, NONASSOC)]
+        assert all(matches_cube(t) for t in tables)
+        assert _light_generators(SLOW7) is None
+        catalog = catalog_up_to_order(64)
+        assert len(catalog) > 100
+        assert not any(matches_cube(g.table) for g in catalog)
+
+    @given(switched_catalog_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_light_matches_cube_relabelled(self, table):
+        matches_cube(table)
+
+    def test_light_generators_within_log2(self):
+        for group in catalog_up_to_order(64):
+            gens = _light_generators([list(row) for row in group.table])
+            assert len(gens) <= group.n.bit_length() - 1
+            reached, frontier = {0}, [0]
+            while frontier:
+                frontier = [group.mul(x, a) for x in frontier for a in gens]
+                frontier = [y for y in set(frontier) if y not in reached]
+                reached.update(frontier)
+            assert len(reached) == group.n
+
+    def test_exact_check_only_on_refusal(self, monkeypatch):
+        def exact_check(t):
+            raise AssertionError("exact check ran on a group")
+
+        monkeypatch.setattr(groups, "_raise_first_nonassociative", exact_check)
+        assert len(catalog_up_to_order(32)) > 50
+        with pytest.raises(AssertionError):
+            group_from_table(NONASSOC)
+
+    @pytest.mark.parametrize("entry", [10**23, -(10**23), 2**63, -(2**63) - 1])
+    def test_entry_outside_int64(self, entry):
+        with pytest.raises(GroupValidationError) as err:
+            group_from_table([[0, 1], [1, entry]])
+        assert err.value.kind == "MalformedTable"
+
+    def test_latin_square_refusals(self):
+        for table in ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], [[0, 1, 2], [1, 0, 2], [2, 1, 0]],
+                      [[0, 1, 2], [1, 2, 0], [2, 1, 0]]):
+            with pytest.raises(GroupValidationError) as err:
+                group_from_table(table)
+            assert err.value.kind == "NotLatinSquare"
 
     def test_associativity_memory_bounded(self):
         table = [[(a + b) % 256 for b in range(256)] for a in range(256)]
