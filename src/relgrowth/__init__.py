@@ -15,7 +15,6 @@ from .connectivity import (
 )
 from .groups import (
     FiniteGroup,
-    GroupSubset,
     GroupValidationError,
     TransitivityCertificate,
     abelian_groups,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import connectivity, fileio, theorems
-from .groups import GroupSubset, catalog_up_to_order, cayley_relation, cyclic
+from .groups import catalog_up_to_order, cayley_relation, cyclic
 from .relation import INFINITE
 from .theorems import ALL_CHECKS, BugError
 
@@ -117,8 +117,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_zerosum(args) -> int:
     group = fileio.read_group(args.group)
-    members = fileio.read_subset(args.subset)
-    witness = theorems.zero_product_witness(group, GroupSubset.of(group, members))
+    witness = theorems.zero_product_witness(group, fileio.read_subset(args.subset))
     print(f"k = {witness.k}")
     print(f"bound = {witness.bound}")
     print("sequence = " + " ".join(str(s) for s in witness.sequence))

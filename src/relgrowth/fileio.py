@@ -17,6 +17,9 @@ from typing import Iterable
 from .groups import FiniteGroup, group_from_table
 from .relation import Relation
 
+# vertex count a .rel file may declare; checked before any table is built
+MAX_VERTICES = 65_536
+
 
 class ParseError(ValueError):
     def __init__(self, path: str | os.PathLike, line: int, message: str):
@@ -51,6 +54,8 @@ def read_relation(path: str | os.PathLike) -> Relation:
     n = _parse_int(path, number, text, "vertex count")
     if n < 0:
         raise ParseError(path, number, f"negative vertex count: {n}")
+    if n > MAX_VERTICES:
+        raise ParseError(path, number, f"vertex count {n} exceeds {MAX_VERTICES}")
     edges = []
     for number, text in lines[1:]:
         parts = text.split()

@@ -257,26 +257,6 @@ def catalog_up_to_order(max_order: int) -> list[FiniteGroup]:
 
 
 @dataclass(frozen=True, slots=True)
-class GroupSubset:
-    group: FiniteGroup
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, group: FiniteGroup, members: Iterable[int]) -> "GroupSubset":
-        ms = frozenset(members)
-        for g in ms:
-            if not 0 <= g < group.n:
-                raise ValueError(f"element {g} out of range for order {group.n}")
-        return cls(group, ms)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True, slots=True)
 class TransitivityCertificate:
     """Record of why a relation is known to be point-transitive."""
 
@@ -296,15 +276,22 @@ class TransitivityCertificate:
         return cls(False, "uncertified")
 
 
+def _subset_members(group: FiniteGroup, subset: Iterable[int]) -> tuple[int, ...]:
+    """The distinct members of a subset of the group, in ascending order."""
+    members = tuple(sorted(set(subset)))
+    for g in members:
+        if not 0 <= g < group.n:
+            raise ValueError(f"element {g} out of range for order {group.n}")
+    return members
+
+
 def cayley_relation(
-    group: FiniteGroup, subset: GroupSubset | Iterable[int], reflexive: bool = False
+    group: FiniteGroup, subset: Iterable[int], reflexive: bool = False
 ) -> tuple[Relation, TransitivityCertificate]:
     """Relation with arcs (g, g*s) for s in the subset; loops added iff
     reflexive.  Left translations x -> h*x are automorphisms acting
     transitively, so the certificate holds by construction."""
-    if not isinstance(subset, GroupSubset):
-        subset = GroupSubset.of(group, subset)
-    gens = subset.sorted_members()
+    gens = _subset_members(group, subset)
     succ = []
     for g in range(group.n):
         bits = 1 << g if reflexive else 0

@@ -10,8 +10,14 @@ route.  `growth_profile` walks the balls around a vertex once, to the end
 of the hypothesis window, and the sphere, ball and girth-window records are
 read from it.  `_shortest_return` is the one search for a shortest product
 equal to the identity: its length is the girth of the Cayley relation and
-its sequence the zero-product witness.  `run_family` sends every instance,
-a generator subset or a relation file, through `_instance_reports`.
+its sequence the zero-product witness.
+
+`_instance_reports` is the one core that builds the sphere, ball and girth
+records of an instance; it makes the reflexive closure once and walks each
+base vertex once.  `run_family` sends every instance, a generator subset or
+a relation file, through it.  `check_main_theorem`, `check_ball_growth` and
+`check_girth_bound` are fronts for a single relation: each checks its
+preconditions, then returns the core's one report.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from typing import Iterable, Iterator
 from .groups import (
     BRUTE_LIMIT,
     FiniteGroup,
-    GroupSubset,
     TransitivityCertificate,
+    _subset_members,
     automorphisms_brute,
     cayley_relation,
     cyclic,
@@ -150,15 +156,9 @@ def growth_profile(rel: Relation, v: int) -> GrowthProfile:
 hypothesis_window = growth_profile  # the window is the profile's max_j
 
 
-def _require_regular(rel: Relation) -> int:
-    r = rel.regular_degree()
-    if r is None:
+def _require_regular(rel: Relation) -> None:
+    if rel.regular_degree() is None:
         raise ValueError("relation is not regular (so not point-transitive)")
-    return r
-
-
-def _certificate_caveats(certificate: TransitivityCertificate) -> tuple[str, ...]:
-    return () if certificate.certified else ("uncertified-transitivity",)
 
 
 def _instance_reports(
@@ -174,7 +174,13 @@ def _instance_reports(
     """The main and growth reports of the reflexive closure and the girth
     report of the loopless relation, in that order, for the selected checks
     among those three.  Main and growth read one growth profile per base
-    vertex."""
+    vertex, and the girth window is read from vertex 0's.
+
+    The girth check retraces the reduction to the ball bound: adjoin all
+    loops, then the (g-2)-ball around a vertex still meets the reverse
+    image only in that vertex, so on a certified instance a shorter window
+    is a bug.
+    """
     closure = rel.reflexive_closure()
     r = closure.regular_degree()  # regular iff the loopless relation is
     if r is None:
@@ -187,9 +193,9 @@ def _instance_reports(
         ]
     profiles = []
     if "main" in checks or "growth" in checks:
-        vertices = range(rel.n) if all_vertices else (0,)
+        vertices = range(rel.n) if all_vertices else range(min(rel.n, 1))
         profiles = [growth_profile(closure, v) for v in vertices]
-    caveats = _certificate_caveats(certificate)
+    caveats = () if certificate.certified else ("uncertified-transitivity",)
     reports = []
     if "main" in checks:
         report = VerificationReport(family, descriptor, params, r, caveats=caveats)
@@ -209,18 +215,30 @@ def _instance_reports(
             )
         reports.append(report)
     if "girth" in checks:
-        reports.append(
-            check_girth_bound(rel.remove_loops(), certificate, descriptor, family, params)
-        )
+        loopless = rel.remove_loops()
+        degree = loopless.regular_degree()
+        report = VerificationReport(family, descriptor, params, degree, caveats=caveats)
+        g = loopless.girth()
+        if g == INFINITE:
+            report.caveats += ("acyclic",)
+            report.witnesses["girth"] = "infinite"
+        else:
+            g = int(g)
+            report.witnesses["girth"] = g
+            max_j = (profiles[0] if profiles else growth_profile(closure, 0)).max_j
+            report.witnesses["window_max_j"] = max_j
+            if certificate.certified and max_j < g - 2:
+                raise BugError(
+                    f"{descriptor}: reflexive-closure window {max_j} below g-2={g - 2}"
+                )
+            report.checks.append(CheckRecord("girth-order-bound", g, rel.n, 1 + degree * (g - 1)))
+        reports.append(report)
     return reports
 
 
 def check_main_theorem(
     rel: Relation,
     certificate: TransitivityCertificate,
-    descriptor: str = "relation",
-    family: str = "adhoc",
-    params: dict | None = None,
     all_vertices: bool = False,
     bound_delta: int = 0,
 ) -> VerificationReport:
@@ -233,63 +251,31 @@ def check_main_theorem(
         raise ValueError("the sphere bound assumes a reflexive relation")
     _require_regular(rel)  # raise here; run_family records a caveat instead
     (report,) = _instance_reports(
-        rel, certificate, descriptor, family, params or {}, ("main",), all_vertices, bound_delta
+        rel, certificate, "relation", "adhoc", {}, ("main",), all_vertices, bound_delta
     )
     return report
 
 
 def check_ball_growth(
-    rel: Relation,
-    certificate: TransitivityCertificate,
-    descriptor: str = "relation",
-    family: str = "adhoc",
-    params: dict | None = None,
-    all_vertices: bool = False,
+    rel: Relation, certificate: TransitivityCertificate, all_vertices: bool = False
 ) -> VerificationReport:
     """Ball sizes within the hypothesis window must be at least 1 + (r-1)j."""
     if not rel.is_reflexive():
         raise ValueError("the ball growth bound assumes a reflexive relation")
     _require_regular(rel)
     (report,) = _instance_reports(
-        rel, certificate, descriptor, family, params or {}, ("growth",), all_vertices, 0
+        rel, certificate, "relation", "adhoc", {}, ("growth",), all_vertices, 0
     )
     return report
 
 
-def check_girth_bound(
-    rel: Relation,
-    certificate: TransitivityCertificate,
-    descriptor: str = "relation",
-    family: str = "adhoc",
-    params: dict | None = None,
-) -> VerificationReport:
+def check_girth_bound(rel: Relation, certificate: TransitivityCertificate) -> VerificationReport:
     """For a loopless point-transitive relation with finite girth g the
-    order must be at least 1 + r(g-1).
-
-    Internally retraces the reduction to the ball bound: adjoin all loops,
-    then the (g-2)-ball around a vertex still meets the reverse image only
-    in that vertex.
-    """
+    order must be at least 1 + r(g-1)."""
     if rel.has_loop():
         raise ValueError("the girth bound assumes a loopless relation")
-    r = _require_regular(rel)
-    report = VerificationReport(
-        family, descriptor, params or {}, r, caveats=_certificate_caveats(certificate)
-    )
-    g = rel.girth()
-    if g == INFINITE:
-        report.caveats = report.caveats + ("acyclic",)
-        report.witnesses["girth"] = "infinite"
-        return report
-    g = int(g)
-    report.witnesses["girth"] = g
-    max_j = growth_profile(rel.reflexive_closure(), 0).max_j
-    report.witnesses["window_max_j"] = max_j
-    if certificate.certified and max_j < g - 2:
-        raise BugError(
-            f"{descriptor}: reflexive-closure window {max_j} below g-2={g - 2}"
-        )
-    report.checks.append(CheckRecord("girth-order-bound", g, rel.n, 1 + r * (g - 1)))
+    _require_regular(rel)
+    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("girth",), False, 0)
     return report
 
 
@@ -317,18 +303,14 @@ def _shortest_return(group: FiniteGroup, gens: tuple[int, ...]) -> list[int]:
     raise BugError(f"identity unreachable over {gens} in {group.name}")
 
 
-def zero_product_witness(
-    group: FiniteGroup, subset: GroupSubset | Iterable[int]
-) -> ZeroProductWitness:
+def zero_product_witness(group: FiniteGroup, subset: Iterable[int]) -> ZeroProductWitness:
     """Shortest nonempty sequence over the subset whose left-to-right
     product is the identity, by breadth-first search in the loopless Cayley
     relation; its length is guaranteed to be at most ceil(n / |S|)."""
-    if not isinstance(subset, GroupSubset):
-        subset = GroupSubset.of(group, subset)
-    gens = subset.sorted_members()
+    gens = _subset_members(group, subset)
     if not gens:
         raise ValueError("subset must be nonempty")
-    if group.identity in subset.members:
+    if group.identity in gens:
         raise ValueError("subset must exclude the identity")
     sequence = _shortest_return(group, gens)
     k = len(sequence)
@@ -343,13 +325,11 @@ def zero_product_witness(
 
 
 def shortest_zero_product_oracle(
-    group: FiniteGroup, subset: GroupSubset | Iterable[int], max_len: int
+    group: FiniteGroup, subset: Iterable[int], max_len: int
 ) -> int | None:
     """Exhaustive-enumeration oracle: least length <= max_len of a product
     equal to the identity, scanning all |S|^m sequences per length."""
-    if not isinstance(subset, GroupSubset):
-        subset = GroupSubset.of(group, subset)
-    gens = subset.sorted_members()
+    gens = _subset_members(group, subset)
     for m in range(1, max_len + 1):
         for seq in itertools.product(gens, repeat=m):
             if group.product(seq) == group.identity:
@@ -601,7 +581,7 @@ def run_family(
                 info = {"group": group.name, "gens": list(gens)}
                 reports = []
                 if "main" in per_subset or "growth" in per_subset:
-                    rel, certificate = cayley_relation(group, gens, reflexive=True)
+                    rel, certificate = cayley_relation(group, gens)
                     reports = _instance_reports(
                         rel, certificate, descriptor, family, info, per_subset,
                         all_vertices, bound_delta,

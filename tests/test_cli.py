@@ -171,6 +171,43 @@ class TestVerifyCommand:
         assert code == 0
         assert "caveated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", [[], ["--all-vertices"], ["--checks", "girth"]])
+    def test_from_files_zero_vertices(self, tmp_path, capsys, mode):
+        path, report = tmp_path / "empty.rel", tmp_path / "out.ndjson"
+        path.write_text("0\n")
+        code = main(["verify", "from_files", "--files", str(path), "--report", str(report), *mode])
+        assert code == 0, capsys.readouterr().err
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert len(records) == (1 if mode == ["--checks", "girth"] else 3)
+        assert all(r["r"] == 0 and r["checks"] == [] for r in records)
+        assert records[-1]["caveats"] == ["acyclic"]
+        assert all(r["caveats"] == [] for r in records[:-1])
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with its stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the four commands that read one .rel file, as argv without the path
+RELATION_COMMANDS = (["spheres"], ["kappa"], ["girth"], ["verify", "from_files", "--files"])
+
+
+class TestRelationFileLimits:
+    # headers far beyond the cap only: a missing cap must fail at once,
+    # never allocate a table of that size
+    @pytest.mark.parametrize("count", [fileio.MAX_VERTICES + 1, 10**20])
+    @pytest.mark.parametrize("command", RELATION_COMMANDS, ids=lambda c: c[0])
+    def test_vertex_count_above_cap_exit_two(self, tmp_path, command, count):
+        path = tmp_path / "huge.rel"
+        path.write_text(f"{count}\n0 1\n")
+        code, out, err = run_quietly([*command, str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:1: vertex count {count} exceeds {fileio.MAX_VERTICES}\n"
+
 
 class TestZerosumCommand:
     def test_z10(self, tmp_path, capsys):
@@ -302,6 +339,64 @@ class TestZerosumFuzz:
         assert code in (0, 2)
         assert (code == 2) == err.getvalue().startswith("error: ")
         assert (code == 0) == out.getvalue().startswith("k = ")
+
+
+# valid .rel files as data lines: a directed 5-cycle, Cay(Z6, {1, 2}), a
+# reflexive 4-cycle and a non-regular relation
+REL_BASES = [
+    ["5", *(f"{i} {(i + 1) % 5}" for i in range(5))],
+    ["6", *(f"{u} {v}" for u, v in cayley_relation(cyclic(6), [1, 2])[0].edges())],
+    ["4", *(f"{i} {j}" for i in range(4) for j in (i, (i + 1) % 4))],
+    ["4", "0 1", "1 2", "2 3", "3 0", "0 2"],
+]
+REL_KINDS = ("header", "drop_header", "token", "one_token", "three_tokens", "arc")
+REL_VALUES = st.one_of(
+    # small counts keep kappa cheap; huge ones lie far beyond any table
+    st.integers(min_value=-(10**30), max_value=40),
+    st.integers(min_value=2**63, max_value=10**30),
+    st.sampled_from([10**20, -(10**20), -1, 0, fileio.MAX_VERTICES + 1]),
+    st.text(alphabet="0123456789-+_.xe# \u0661", min_size=0, max_size=2),
+)
+
+
+class TestRelationFuzz:
+    @given(
+        base=st.sampled_from(REL_BASES),
+        kind=st.sampled_from(REL_KINDS),
+        where=st.integers(min_value=0, max_value=10**6),
+        value=REL_VALUES,
+    )
+    @example(base=REL_BASES[0], kind="header", where=0, value=10**20)
+    @example(base=REL_BASES[1], kind="drop_header", where=0, value=0)
+    @settings(max_examples=150, deadline=None)
+    def test_hostile_files_exit_zero_or_two(self, base, kind, where, value):
+        """Mutated .rel files give exit 0, or exit 2 with one error line and
+        no output, through every command that reads one."""
+        header, arcs = base[0], [line.split() for line in base[1:]]
+        i, t = where % len(arcs), where // len(arcs) % 2
+        if kind == "header":
+            header = str(value)
+        elif kind == "drop_header":
+            header = None
+        elif kind == "token":
+            arcs[i][t] = str(value)
+        elif kind == "one_token":
+            del arcs[i][t]
+        elif kind == "three_tokens":
+            arcs[i].insert(t, str(value))
+        else:
+            arcs.append(["0", str(value)] if t else [str(value), "0"])
+        lines = ([] if header is None else [header]) + [" ".join(arc) for arc in arcs]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.rel"
+            path.write_text("".join(f"{line}\n" for line in lines))
+            for command in RELATION_COMMANDS:
+                code, out, err = run_quietly([*command, str(path)])
+                assert code in (0, 2), (command, lines)
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                else:
+                    assert err == "" and out
 
 
 class TestGenCommand:

@@ -24,7 +24,7 @@ from relgrowth import (
     symmetric,
 )
 from relgrowth import groups
-from relgrowth.groups import GroupSubset, _light_generators, orbit_of_zero
+from relgrowth.groups import _light_generators, orbit_of_zero
 
 # order-5 Latin square with identity row/column that is not associative
 NONASSOC = [
@@ -304,8 +304,9 @@ class TestCayley:
         assert rel.is_reflexive()
 
     def test_subset_range_check(self):
-        with pytest.raises(ValueError):
-            GroupSubset.of(cyclic(3), [5])
+        for element in (5, -1):
+            with pytest.raises(ValueError, match=f"^element {element} out of range for order 3$"):
+                cayley_relation(cyclic(3), [1, element])
 
     def test_left_translations_preserve_arcs(self):
         group = dihedral(4)

@@ -23,7 +23,9 @@ from relgrowth import (
     zero_product_witness,
 )
 from relgrowth import theorems
-from relgrowth.theorems import growth_profile, subsets_of
+from relgrowth.cli import main
+from relgrowth.fileio import write_relation
+from relgrowth.theorems import GrowthProfile, growth_profile, subsets_of
 
 from conftest import relations
 
@@ -374,3 +376,46 @@ class TestRunFamily:
         assert [r.to_dict() for r in first.reports] == [
             r.to_dict() for r in second.reports
         ]
+
+    def test_from_files_one_profile_per_file(self, tmp_path, monkeypatch):
+        # the girth window is read from the profile the sphere checks walked
+        paths = []
+        for gens in subsets_of(range(1, 5)):
+            paths.append(str(tmp_path / f"z5_{len(paths)}.rel"))
+            write_relation(paths[-1], cayley_relation(cyclic(5), gens)[0])
+        calls = []
+        monkeypatch.setattr(
+            theorems, "growth_profile", lambda rel, v: calls.append(v) or growth_profile(rel, v)
+        )
+        assert main(["verify", "from_files", "--files", *paths]) == 0
+        assert calls == [0] * len(paths)
+
+
+class TestBugRoutes:
+    """The two inconsistencies a run reports as bugs rather than as
+    failed checks of a bound."""
+
+    def test_witness_not_identity(self, monkeypatch):
+        monkeypatch.setattr(theorems, "_shortest_return", lambda group, gens: [gens[0]])
+        run = run_family("circulants", max_n=5, checks=("zerosum",))
+        record = run.reports[0].to_dict()
+        assert record["checks"] == [
+            {"claim": "zero-product-bound", "index": 0, "lhs": -1, "rhs": 0,
+             "pass": False, "tight": False}
+        ]
+        assert "does not multiply to the identity" in record["witnesses"]["error"]
+        assert run.summary["bugs"] >= 1 and not run.ok
+        assert main(["verify", "circulants", "--max-n", "5", "--checks", "zerosum"]) == 1
+
+    def test_girth_window_below_reduction(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c5.rel"
+        cycle = Relation.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        write_relation(path, cycle)
+        monkeypatch.setattr(theorems, "growth_profile", lambda rel, v: GrowthProfile(v, (1 << v,)))
+        assert main(["verify", "from_files", "--files", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BUG: {path}: reflexive-closure window 0 below g-2=3\n"
+        with pytest.raises(BugError, match="^relation: reflexive-closure window 0"):
+            check_girth_bound(cycle, CAYLEY)
+

@@ -1,0 +1,41 @@
+"""The benchmark's tracer must find every name it wraps.
+
+perfbench/tracing.py replaces public functions by name with span-recording
+wrappers, so an API change that drops or renames one of them breaks traced
+benchmark runs.  The module is executed from its source here and never
+written to.
+"""
+
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    module = types.ModuleType("tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_name(capsys):
+    tracing = load_tracing()
+    places = [
+        place
+        for table in (tracing.SPANNED, tracing.COUNTED)
+        for owner_attrs in table.values()
+        for place in owner_attrs
+    ]
+    originals = [getattr(owner, attr) for owner, attr in places]  # every name resolves
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(o, a) is not f for (o, a), f in zip(places, originals))
+        assert tracing.cli.main(["verify", "circulants", "--max-n", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(getattr(o, a) is f for (o, a), f in zip(places, originals))
+    calls = tracer.calls()
+    assert calls["cli.main"] == calls["theorems.run_family"] == 1
+    assert calls["theorems.scan_girth_bound"] == 3 and calls["relation.image"] > 0
