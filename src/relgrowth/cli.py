@@ -42,11 +42,23 @@ def _print_fragment(label: str, fragment: connectivity.Fragment) -> None:
 
 
 def _cmd_kappa(args) -> int:
+    """kappa and the atoms, or with `atoms -v V` the least atom containing
+    V; --oracle then checks kappa and the whole atom set against the
+    brute-force oracle."""
     rel = fileio.read_relation(args.relation)
+    v = args.vertex
+    if v is not None and not 0 <= v < rel.n:
+        raise ValueError(f"vertex {v} out of range for n={rel.n}")
     # the oracle runs first, so its refusal of a large n comes before any output
     oracle = connectivity.atoms_oracle(rel) if args.oracle else None
     result = connectivity.kappa(rel)
-    if result.complete:
+    if v is not None:
+        atom = connectivity._least_atom_containing(result, v)
+        if atom is None:
+            print(f"no atom contains vertex {v}")
+        else:
+            _print_fragment(f"atom containing {v}", atom)
+    elif result.complete:
         print(f"complete: kappa = n-1 = {result.kappa}")
     else:
         print(f"kappa = {result.kappa}")
@@ -62,18 +74,6 @@ def _cmd_kappa(args) -> int:
         if not agree:
             return 1
     return 0
-
-
-def _cmd_atoms(args) -> int:
-    rel = fileio.read_relation(args.relation)
-    if args.vertex is not None:
-        atom = connectivity.atom_containing(rel, args.vertex)
-        if atom is None:
-            print(f"no atom contains vertex {args.vertex}")
-        else:
-            _print_fragment(f"atom containing {args.vertex}", atom)
-        return 0
-    return _cmd_kappa(args)
 
 
 def _cmd_girth(args) -> int:
@@ -125,6 +125,14 @@ def _cmd_zerosum(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.family == "circulants" and args.n is not None and args.n > 1:
+        # one file per generator set; the shift is capped, as every n past
+        # the cap is refused anyway
+        limit = theorems.MAX_ENUMERATED_INSTANCES
+        if (1 << min(args.n - 1, 64)) - 1 > limit:
+            raise ValueError(
+                f"gen circulants refused: 2^{args.n - 1} - 1 generator sets exceed {limit}"
+            )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = 0
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=int, default=10)
     p.set_defaults(func=_cmd_spheres)
 
-    for name, func in (("kappa", _cmd_kappa), ("atoms", _cmd_atoms)):
+    for name in ("kappa", "atoms"):
         p = sub.add_parser(name, help=f"connectivity and atoms ({name})")
         p.add_argument("relation", help=".rel file")
         p.add_argument("--oracle", action="store_true",
@@ -171,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "atoms":
             p.add_argument("-v", "--vertex", type=int, default=None,
                            help="print the atom containing this vertex")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_kappa, vertex=None)
 
     p = sub.add_parser("girth", help="shortest directed cycle length")
     p.add_argument("relation", help=".rel file")

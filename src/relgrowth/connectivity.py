@@ -75,7 +75,7 @@ class _CutKernel:
 
     __slots__ = ("succ", "pred")
 
-    def __init__(self, succ: list[int], pred: list[int]):
+    def __init__(self, succ: tuple[int, ...], pred: tuple[int, ...]):
         self.succ, self.pred = succ, pred
 
     def cut(self, first: int, origin: int, t: int) -> tuple[int, int]:
@@ -151,11 +151,8 @@ class _CutKernel:
 
 def _cut_kernels(rel: Relation) -> tuple[_CutKernel, _CutKernel]:
     """The cut kernels of rel and of its reverse."""
-    succ = [s & ~(1 << v) for v, s in enumerate(rel.succ)]
-    pred = [0] * rel.n
-    for u, s in enumerate(succ):
-        for v in _iter_bits(s):
-            pred[v] |= 1 << u
+    loopless = rel.remove_loops()
+    succ, pred = loopless.succ, loopless.reverse().succ
     return _CutKernel(succ, pred), _CutKernel(pred, succ)
 
 
@@ -329,13 +326,13 @@ def atom_containing(rel: Relation, v: int) -> Fragment | None:
     """Lexicographically least atom containing v, or None if no atom does."""
     if not 0 <= v < rel.n:
         raise ValueError(f"vertex {v} out of range for n={rel.n}")
-    result = kappa(rel)
+    return _least_atom_containing(kappa(rel), v)
+
+
+def _least_atom_containing(result: ConnectivityResult, v: int) -> Fragment | None:
     if result.complete:
         raise AtomsUndefinedError("atoms are undefined for a complete relation")
-    for atom in result.atoms:
-        if v in atom.set:
-            return atom
-    return None
+    return next((atom for atom in result.atoms if v in atom.set), None)
 
 
 def _pairwise_disjoint(fragments: tuple[Fragment, ...]) -> bool:

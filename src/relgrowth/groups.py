@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -301,9 +301,12 @@ def cayley_relation(
     return Relation(group.n, tuple(succ)), TransitivityCertificate.cayley()
 
 
-def _search_automorphisms(
-    rel: Relation, fixed_image_of_zero: int | None, find_all: bool
-) -> list[tuple[int, ...]]:
+def _automorphisms(
+    rel: Relation, image_of_zero: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The arc-preserving vertex permutations in lexicographic order, by
+    backtracking search; with image_of_zero, only those mapping 0 to it.
+    An oversized relation is refused here, before the search starts."""
     n = rel.n
     if n > BRUTE_LIMIT:
         raise ValueError(f"brute automorphism search refused: n={n} > {BRUTE_LIMIT}")
@@ -312,16 +315,12 @@ def _search_automorphisms(
     outdeg = [s.bit_count() for s in succ]
     indeg = [p.bit_count() for p in pred]
     sigma = [-1] * n
-    results: list[tuple[int, ...]] = []
 
-    def extend(k: int, used: int) -> bool:
+    def extend(k: int, used: int) -> Iterator[tuple[int, ...]]:
         if k == n:
-            results.append(tuple(sigma))
-            return not find_all
-        candidates = (
-            [fixed_image_of_zero] if k == 0 and fixed_image_of_zero is not None
-            else range(n)
-        )
+            yield tuple(sigma)
+            return
+        candidates = [image_of_zero] if k == 0 and image_of_zero is not None else range(n)
         for p in candidates:
             if used >> p & 1:
                 continue
@@ -339,27 +338,33 @@ def _search_automorphisms(
                     break
             if ok:
                 sigma[k] = p
-                if extend(k + 1, used | 1 << p):
-                    return True
-                sigma[k] = -1
-        return False
+                yield from extend(k + 1, used | 1 << p)
 
-    extend(0, 0)
-    return results
+    return extend(0, 0)
 
 
 def automorphisms_brute(rel: Relation) -> list[tuple[int, ...]]:
     """All arc-preserving vertex permutations, by backtracking search."""
-    return _search_automorphisms(rel, None, find_all=True)
+    return list(_automorphisms(rel))
 
 
 def is_point_transitive_brute(rel: Relation) -> bool:
-    """True iff for every v some automorphism maps vertex 0 to v."""
+    """True iff for every v some automorphism maps vertex 0 to v.  The
+    automorphisms found so far generate a group, so a vertex in the orbit
+    of 0 under it needs no search of its own."""
     if rel.n <= 1:
         return True
-    return all(
-        bool(_search_automorphisms(rel, v, find_all=False)) for v in range(1, rel.n)
-    )
+    found: list[tuple[int, ...]] = []
+    orbit = {0}
+    for v in range(1, rel.n):
+        if v in orbit:
+            continue
+        p = next(_automorphisms(rel, v), None)
+        if p is None:
+            return False
+        found.append(p)
+        orbit = orbit_of_zero(found, rel.n)
+    return True
 
 
 def orbit_of_zero(perms: Iterable[tuple[int, ...]], n: int) -> set[int]:

@@ -129,9 +129,6 @@ class Relation:
             for v in _iter_bits(self.succ[u]):
                 yield u, v
 
-    def edge_count(self) -> int:
-        return sum(s.bit_count() for s in self.succ)
-
     def successors(self, v: int) -> VertexSet:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -243,23 +240,3 @@ class Relation:
             sum(1 << pos[x] for x in _iter_bits(self.succ[v] & w.bits)) for v in old
         )
         return Relation(len(old), succ), old
-
-    def is_connected(self) -> bool:
-        """Strong connectivity: every vertex reaches every other."""
-        if self.n <= 1:
-            return True
-        forward = self._reach(self.succ, 0)
-        full = (1 << self.n) - 1
-        if forward != full:
-            return False
-        return self._reach(self.reverse().succ, 0) == full
-
-    @staticmethod
-    def _reach(succ: tuple[int, ...], start: int) -> int:
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = _image_bits(succ, frontier) & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen

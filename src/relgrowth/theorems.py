@@ -30,14 +30,13 @@ from .groups import (
     BRUTE_LIMIT,
     FiniteGroup,
     TransitivityCertificate,
+    _automorphisms,
     _subset_members,
-    automorphisms_brute,
+    abelian_groups,
     cayley_relation,
     cyclic,
     dihedral,
-    group_catalog,
     is_point_transitive_brute,
-    orbit_of_zero,
     symmetric,
 )
 from .relation import INFINITE, Relation, _image_bits
@@ -178,8 +177,9 @@ def _instance_reports(
 
     The girth check retraces the reduction to the ball bound: adjoin all
     loops, then the (g-2)-ball around a vertex still meets the reverse
-    image only in that vertex, so on a certified instance a shorter window
-    is a bug.
+    image only in that vertex.  On a point-transitive instance every vertex
+    lies on a g-cycle, whose last vertex the (g-1)-ball reaches, so on a
+    certified instance a window other than g - 2 is a bug.
     """
     closure = rel.reflexive_closure()
     r = closure.regular_degree()  # regular iff the loopless relation is
@@ -227,9 +227,10 @@ def _instance_reports(
             report.witnesses["girth"] = g
             max_j = (profiles[0] if profiles else growth_profile(closure, 0)).max_j
             report.witnesses["window_max_j"] = max_j
-            if certificate.certified and max_j < g - 2:
+            if certificate.certified and max_j != g - 2:
+                side = "below" if max_j < g - 2 else "above"
                 raise BugError(
-                    f"{descriptor}: reflexive-closure window {max_j} below g-2={g - 2}"
+                    f"{descriptor}: reflexive-closure window {max_j} {side} g-2={g - 2}"
                 )
             report.checks.append(CheckRecord("girth-order-bound", g, rel.n, 1 + degree * (g - 1)))
         reports.append(report)
@@ -350,14 +351,17 @@ class LemmaPowersReport:
 
 def check_lemma_powers(rel: Relation, i: int) -> LemmaPowersReport:
     """Every automorphism of the relation is one of its i-th power, and the
-    power inherits point-transitivity through the same orbit."""
-    autos = automorphisms_brute(rel)
+    power inherits point-transitivity through the same orbit.  The
+    automorphisms are streamed, not stored; as they form the whole group,
+    the orbit of 0 is the set of its images."""
     power = rel.power(i)
-    preserve = all(
-        all(power.succ[p[u]] >> p[v] & 1 for u, v in power.edges()) for p in autos
-    )
-    transitive = orbit_of_zero(autos, rel.n) == set(range(rel.n))
-    return LemmaPowersReport(len(autos), preserve, transitive)
+    arcs = list(power.edges())
+    count, preserve, orbit = 0, True, set()
+    for p in _automorphisms(rel):
+        count += 1
+        preserve = preserve and all(power.succ[p[u]] >> p[v] & 1 for u, v in arcs)
+        orbit.update(p[:1])  # p is empty when n = 0
+    return LemmaPowersReport(count, preserve, orbit == set(range(rel.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +459,16 @@ def subsets_of(elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
 
 # built-in family -> (its sizing parameter, the groups for a value of it);
-# cyclic groups are built one at a time
+# groups are built one at a time, so a refused family stops at the first
+# group over its bound
 FAMILIES = {
     "circulants": ("max_n", lambda k: (cyclic(n) for n in range(2, k + 1))),
-    "cayley_abelian": ("max_order", lambda k: group_catalog(abelian_max=k)),
-    "cayley_dihedral": ("max_m", lambda k: [dihedral(m) for m in range(1, k + 1)]),
-    "cayley_symmetric": ("m", lambda k: [symmetric(k)]),
+    "cayley_abelian": (
+        "max_order",
+        lambda k: (g for order in range(2, k + 1) for g in abelian_groups(order)),
+    ),
+    "cayley_dihedral": ("max_m", lambda k: (dihedral(m) for m in range(1, k + 1))),
+    "cayley_symmetric": ("m", lambda k: (symmetric(m) for m in (k,))),
 }
 
 

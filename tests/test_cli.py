@@ -106,6 +106,60 @@ class TestKappaCommand:
         assert main(["atoms", str(path), "-v", "3"]) == 0
         assert "set=[3]" in capsys.readouterr().out
 
+    def test_atom_containing_with_oracle(self, tmp_path, capsys, monkeypatch):
+        files = {
+            "c6": Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]).reflexive_closure(),
+            "chain": Relation.from_edges(3, [(0, 1), (1, 2)]),
+            "k3": Relation(3, (7, 7, 7)),
+        }
+        for name, rel in files.items():
+            write_relation(tmp_path / f"{name}.rel", rel)
+        runs = []
+        real_kappa = connectivity.kappa
+        monkeypatch.setattr(connectivity, "kappa", lambda r: runs.append(r) or real_kappa(r))
+        cases = [
+            ("c6", "3", 0, "atom containing 3: set=[3] boundary=[4] value=1\n",
+             "oracle kappa = 1: agree\n", ""),
+            ("chain", "0", 0, "no atom contains vertex 0\n", "oracle kappa = 0: agree\n", ""),
+            ("k3", "0", 2, "", "", "error: atoms are undefined for a complete relation\n"),
+            ("c6", "6", 2, "", "", "error: vertex 6 out of range for n=6\n"),
+        ]
+        for name, vertex, code, out, oracle_line, err in cases:
+            path = str(tmp_path / f"{name}.rel")
+            for extra, line in (([], ""), (["--oracle"], oracle_line)):
+                runs.clear()
+                assert main(["atoms", path, "-v", vertex, *extra]) == code
+                assert capsys.readouterr() == (out + line, err), (name, extra)
+                assert len(runs) == (vertex != "6")  # kappa runs once, after the range check
+
+    def test_atom_containing_oracle_refusal_before_output(self, tmp_path, capsys):
+        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
+        path = tmp_path / "c.rel"
+        write_relation(path, rel)
+        assert main(["atoms", str(path), "-v", "0"]) == 0
+        capsys.readouterr()
+        assert main(["atoms", str(path), "-v", "0", "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle refused: n=15 exceeds limit 14\n"
+
+    def test_atom_containing_oracle_rejects_missing_atoms(self, tmp_path, capsys, monkeypatch):
+        rel = Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        path = tmp_path / "c6.rel"
+        write_relation(path, rel.reflexive_closure())
+        real_kappa = connectivity.kappa
+
+        def first_atom_only(r):
+            result = real_kappa(r)
+            return dataclasses.replace(result, atoms=result.atoms[:1])
+
+        monkeypatch.setattr(connectivity, "kappa", first_atom_only)
+        assert main(["atoms", str(path), "-v", "0", "--oracle"]) == 1
+        assert capsys.readouterr().out == (
+            "atom containing 0: set=[0] boundary=[1] value=1\n"
+            "oracle kappa = 1: DISAGREE\n"
+        )
+
 
 class TestGirthCommand:
     def test_loopless_cycle(self, tmp_path, capsys):
@@ -415,6 +469,18 @@ class TestGenCommand:
         out = tmp_path / "grps"
         assert main(["gen", "groups", "--max-order", "8", "--out-dir", str(out)]) == 0
         assert (out / "Z8.grp").exists() and (out / "D4.grp").exists()
+
+    @pytest.mark.parametrize("n", ["19", "64", "65", str(10**20)])
+    def test_circulants_over_bound_exit_two(self, tmp_path, capsys, n):
+        # 2^18 - 1 = 262 143 generator sets at n = 19 exceed 200 000
+        out = tmp_path / "gen"
+        assert main(["gen", "circulants", "--n", n, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: gen circulants refused: 2^{int(n) - 1} - 1 generator sets exceed 200000\n"
+        )
+        assert not out.exists()
 
     def test_missing_param_exit_two(self, tmp_path):
         assert main(["gen", "circulants", "--out-dir", str(tmp_path / "x")]) == 2

@@ -116,6 +116,13 @@ def sweep_kappa(rel):
     return ConnectivityResult(best, False, atoms[0], size, atoms)
 
 
+def strongly_connected(rel):
+    """Every vertex reaches every other: the (n-1)-balls around 0 in the
+    reflexive closures of the relation and its reverse are all of V."""
+    full = VertexSet.full(rel.n)
+    return all(r.reflexive_closure().ball(0, rel.n - 1) == full for r in (rel, rel.reverse()))
+
+
 def disjoint_union(a, b):
     return Relation(a.n + b.n, a.succ + tuple(s << a.n for s in b.succ))
 
@@ -289,10 +296,16 @@ class TestKappaMatchesSweep:
                     rel, _ = cayley_relation(group, gens, reflexive=reflexive)
                     assert kappa(rel) == sweep_kappa(rel), (group.name, gens, reflexive)
 
+    def test_reachability_helper(self):
+        assert strongly_connected(reflexive_cycle(6))
+        assert strongly_connected(cayley_relation(cyclic(7), [3])[0])
+        assert not strongly_connected(Relation.from_edges(3, [(0, 1), (1, 2)]))
+        assert not strongly_connected(disjoint_union(complete(2), complete(3)))
+
     @pytest.mark.parametrize("name", sorted(DISCONNECTED))
     def test_disconnected(self, name):
         rel = DISCONNECTED[name]
-        assert not rel.is_connected()
+        assert not strongly_connected(rel)
         result = kappa(rel)
         assert result.kappa == 0
         assert result == sweep_kappa(rel)

@@ -27,7 +27,7 @@ class TestRelationFormat:
     def test_duplicates_allowed(self, tmp_path):
         path = tmp_path / "r.rel"
         path.write_text("2\n0 1\n0 1\n")
-        assert read_relation(path).edge_count() == 1
+        assert len(list(read_relation(path).edges())) == 1
 
     def test_out_of_range_with_line_number(self, tmp_path):
         path = tmp_path / "r.rel"

@@ -25,6 +25,7 @@ from relgrowth import (
 )
 from relgrowth import groups
 from relgrowth.groups import _light_generators, orbit_of_zero
+from relgrowth.theorems import subsets_of
 
 # order-5 Latin square with identity row/column that is not associative
 NONASSOC = [
@@ -335,6 +336,61 @@ class TestAutomorphisms:
             automorphisms_brute(Relation.identity(11))
         with pytest.raises(ValueError, match="refused"):
             is_point_transitive_brute(Relation.identity(11))
+
+    def test_refusal_before_iteration(self):
+        with pytest.raises(ValueError, match="^brute automorphism search refused: n=11 > 10$"):
+            groups._automorphisms(Relation.identity(11), 1)
+
+    def test_stream_in_lexicographic_order(self):
+        rel, _ = cayley_relation(dihedral(3), [1, 3])
+        autos = automorphisms_brute(rel)
+        assert autos == sorted(autos) and len(set(autos)) == len(autos)
+        assert autos == sorted(
+            p for p in itertools.permutations(range(6))
+            if all(rel.succ[p[u]] >> p[v] & 1 for u, v in rel.edges())
+        )
+        assert list(groups._automorphisms(rel, 4)) == [p for p in autos if p[0] == 4]
+
+    def test_transitivity_matches_search_per_vertex(self):
+        # the answer of one independent search per vertex 1..n-1
+        def per_vertex(rel):
+            return all(
+                next(groups._automorphisms(rel, v), None) is not None
+                for v in range(1, rel.n)
+            )
+
+        for group in catalog_up_to_order(10):
+            for gens in subsets_of(range(1, group.n)):
+                for reflexive in (False, True):
+                    rel, _ = cayley_relation(group, gens, reflexive=reflexive)
+                    assert is_point_transitive_brute(rel), (group.name, gens)
+        rng = random.Random(20261018)
+        answers = set()
+        for i in range(1000):
+            n = rng.randrange(1, 9)
+            p = (0.15, 0.3, 0.5, 0.7)[i % 4]
+            rel = Relation.from_edges(
+                n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
+            )
+            answer = is_point_transitive_brute(rel)
+            assert answer == per_vertex(rel), rel
+            answers.add((n > 1, answer))
+        assert {(True, False), (True, True)} <= answers
+
+    def test_one_search_when_first_automorphism_generates(self, monkeypatch):
+        searches = []
+        search = groups._automorphisms
+        monkeypatch.setattr(
+            groups, "_automorphisms",
+            lambda rel, image_of_zero=None: searches.append(image_of_zero)
+            or search(rel, image_of_zero),
+        )
+        rel, _ = cayley_relation(cyclic(10), [1, 3])
+        assert is_point_transitive_brute(rel)
+        assert searches == [1]
+        searches.clear()
+        path = Relation.from_edges(3, [(0, 1), (1, 2)])
+        assert not is_point_transitive_brute(path) and searches == [1]
 
     def test_certificate_soundness_small_cayley(self):
         for group in catalog_up_to_order(10):

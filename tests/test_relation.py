@@ -173,18 +173,6 @@ class TestRestriction:
             cycle(5).restriction(VertexSet.empty(5))
 
 
-class TestConnected:
-    def test_cycle_connected(self):
-        assert cycle(6).is_connected()
-
-    def test_disjoint_cycles(self):
-        rel = Relation.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert not rel.is_connected()
-
-    def test_chain_not_connected(self):
-        assert not Relation.from_edges(3, [(0, 1), (1, 2)]).is_connected()
-
-
 class TestProperties:
     @given(relations(), st.data())
     def test_image_monotone(self, rel, data):

@@ -15,6 +15,7 @@ from relgrowth import (
     cyclic,
     dihedral,
     direct_product,
+    group_catalog,
     hypothesis_window,
     run_family,
     scan_girth_bound,
@@ -22,7 +23,7 @@ from relgrowth import (
     symmetric,
     zero_product_witness,
 )
-from relgrowth import theorems
+from relgrowth import groups, theorems
 from relgrowth.cli import main
 from relgrowth.fileio import write_relation
 from relgrowth.theorems import GrowthProfile, growth_profile, subsets_of
@@ -214,6 +215,18 @@ class TestGirthBound:
         g = report.witnesses["girth"]
         assert check.lhs == 10 and check.rhs == 1 + 3 * (g - 1) and check.passed
 
+    def test_window_is_girth_minus_two_on_catalog(self):
+        # point-transitivity puts vertex 0 on a shortest cycle, so the
+        # two-sided window check holds on every certified instance
+        checked = 0
+        for group in catalog_up_to_order(10):
+            for gens in subsets_of(range(1, group.n)):
+                rel, cert = cayley_relation(group, gens)
+                witnesses = check_girth_bound(rel, cert).witnesses
+                assert witnesses["window_max_j"] == witnesses["girth"] - 2, (group.name, gens)
+                checked += 1
+        assert checked == 2229
+
     def test_loops_refused(self):
         with pytest.raises(ValueError, match="loopless"):
             check_girth_bound(reflexive_cycle(5), CAYLEY)
@@ -286,6 +299,41 @@ class TestLemmaPowers:
         rel = Relation.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
         assert check_lemma_powers(rel, 0).holds
 
+    def test_matches_stored_automorphisms(self, monkeypatch):
+        # the reference stores every automorphism; the check streams them
+        # and must not need the stored list at all
+        cases = [
+            (cayley_relation(dihedral(3), [1, 3])[0], 2),
+            (cayley_relation(cyclic(8), [1, 4])[0], 3),
+            (Relation.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), 2),
+            (Relation.from_edges(6, [(0, 1), (1, 0), (2, 3)]), 2),
+            (Relation.identity(4), 5),
+            (Relation(4, (0, 0, 0, 0)), 1),
+        ]
+        expected = []
+        for rel, i in cases:
+            autos = groups.automorphisms_brute(rel)
+            power = rel.power(i)
+            preserve = all(
+                power.succ[p[u]] >> p[v] & 1 for p in autos for u, v in power.edges()
+            )
+            orbit = groups.orbit_of_zero(autos, rel.n) == set(range(rel.n))
+            expected.append((len(autos), preserve, orbit))
+
+        def refused(rel):
+            raise AssertionError("automorphisms_brute called")
+
+        monkeypatch.setattr(groups, "automorphisms_brute", refused)
+        monkeypatch.setattr(theorems, "automorphisms_brute", refused, raising=False)
+        for (rel, i), want in zip(cases, expected):
+            report = check_lemma_powers(rel, i)
+            assert (report.automorphism_count, report.all_preserve_power,
+                    report.power_transitive) == want, rel
+        assert expected[4] == (24, True, True) and not expected[2][2]
+        # the empty relation has one automorphism, the empty permutation
+        empty = check_lemma_powers(Relation(0, ()), 1)
+        assert (empty.automorphism_count, empty.holds) == (1, True)
+
 
 class TestGirthScan:
     def test_matches_per_instance_checker_small_groups(self):
@@ -347,6 +395,41 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="girth scan of Z11 refused"):
             run_family("circulants", max_n=12, checks=("girth",))
         assert scanned == []
+
+    @pytest.mark.parametrize(
+        "family, option, builder, checks, built, error",
+        [
+            # D10 (2^19 - 1 sets) takes the per-subset count past 200 000,
+            # D25 is the first with more than 200 000 inverse-free sets
+            ("cayley_dihedral", "--max-m", "dihedral", "all", 10,
+             "family cayley_dihedral exceeds 200000 enumerated instances"),
+            ("cayley_dihedral", "--max-m", "dihedral", "girth", 25,
+             "girth scan of D25 refused: 531440 generator sets exceed 200000"),
+            ("cayley_abelian", "--max-order", "abelian_groups", "all", 17,
+             "family cayley_abelian exceeds 200000 enumerated instances"),
+            ("cayley_abelian", "--max-order", "abelian_groups", "girth", 25,
+             "girth scan of Z5xZ5 refused: 531440 generator sets exceed 200000"),
+        ],
+    )
+    def test_oversized_family_built_only_to_first_group_over(
+        self, monkeypatch, capsys, family, option, builder, checks, built, error
+    ):
+        calls = []
+        build = getattr(theorems, builder)
+        monkeypatch.setattr(theorems, builder, lambda k: calls.append(k) or build(k))
+        assert main(["verify", family, option, "240", "--checks", checks]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert calls[-1] == built and calls == sorted(set(calls))
+
+    def test_builders_match_catalog(self):
+        build = theorems.FAMILIES["cayley_abelian"][1]
+        for k in (8, 16, 30):
+            expected = [g for g in group_catalog(abelian_max=k) if g.n > 1]
+            assert [(g.name, g.table) for g in build(k)] == [
+                (g.name, g.table) for g in expected
+            ]
+        dihedral_groups = [dihedral(m) for m in range(1, 7)]
+        assert list(theorems.FAMILIES["cayley_dihedral"][1](6)) == dihedral_groups
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -418,4 +501,19 @@ class TestBugRoutes:
         assert captured.err == f"BUG: {path}: reflexive-closure window 0 below g-2=3\n"
         with pytest.raises(BugError, match="^relation: reflexive-closure window 0"):
             check_girth_bound(cycle, CAYLEY)
+
+    def test_girth_window_above_reduction(self, tmp_path, monkeypatch, capsys):
+        # a g-cycle through vertex 0 ends the window at g - 2; one step
+        # more is as much a bug as one step less
+        path = tmp_path / "c5.rel"
+        cycle = Relation.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        write_relation(path, cycle)
+        monkeypatch.setattr(
+            theorems, "growth_profile",
+            lambda rel, v: GrowthProfile(v, tuple(rel.ball(v, j).bits for j in range(5))),
+        )
+        assert main(["verify", "from_files", "--files", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BUG: {path}: reflexive-closure window 4 above g-2=3\n"
 
