@@ -24,7 +24,6 @@ from .groups import (
     cyclic,
     dihedral,
     direct_product,
-    group_catalog,
     group_from_table,
     is_point_transitive_brute,
     symmetric,

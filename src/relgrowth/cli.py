@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import connectivity, fileio, theorems
-from .groups import catalog_up_to_order, cayley_relation, cyclic
+from .groups import CATALOG_LIMIT, catalog_up_to_order, cayley_relation, cyclic
 from .relation import INFINITE
 from .theorems import ALL_CHECKS, BugError
 
@@ -125,34 +125,40 @@ def _cmd_zerosum(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "circulants" and args.n is not None and args.n > 1:
+    """Check every parameter and bound, then create the output directory
+    and write each file as the lazy stream yields it, one at a time."""
+    if args.family == "circulants":
+        n = args.n
+        if n is None:
+            raise ValueError("gen circulants requires --n")
         # one file per generator set; the shift is capped, as every n past
         # the cap is refused anyway
         limit = theorems.MAX_ENUMERATED_INSTANCES
-        if (1 << min(args.n - 1, 64)) - 1 > limit:
+        if n > 1 and (1 << min(n - 1, 64)) - 1 > limit:
             raise ValueError(
-                f"gen circulants refused: 2^{args.n - 1} - 1 generator sets exceed {limit}"
+                f"gen circulants refused: 2^{n - 1} - 1 generator sets exceed {limit}"
             )
+        group = cyclic(n)
+        write = fileio.write_relation
+        files = (
+            (f"circ_n{n}_S{'_'.join(map(str, gens))}.rel", cayley_relation(group, gens)[0])
+            for gens in theorems.subsets_of(range(1, n))
+        )
+    else:
+        if args.max_order is None:
+            raise ValueError("gen groups requires --max-order")
+        if args.max_order > CATALOG_LIMIT:
+            raise ValueError(
+                f"gen groups refused: max order {args.max_order} exceeds {CATALOG_LIMIT}"
+            )
+        write = fileio.write_group
+        files = ((f"{g.name}.grp", g) for g in catalog_up_to_order(args.max_order))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = 0
-    if args.family == "circulants":
-        if args.n is None:
-            raise ValueError("gen circulants requires --n")
-        group = cyclic(args.n)
-        for gens in theorems.subsets_of(range(1, args.n)):
-            rel, _ = cayley_relation(group, gens)
-            name = f"circ_n{args.n}_S" + "_".join(str(s) for s in gens)
-            fileio.write_relation(out / f"{name}.rel", rel)
-            written += 1
-    elif args.family == "groups":
-        if args.max_order is None:
-            raise ValueError("gen groups requires --max-order")
-        for group in catalog_up_to_order(args.max_order):
-            fileio.write_group(out / f"{group.name}.grp", group)
-            written += 1
-    else:
-        raise ValueError(f"unknown generation family: {args.family}")
+    for name, item in files:
+        write(out / name, item)
+        written += 1
     print(f"wrote {written} files to {out}")
     return 0
 

@@ -19,6 +19,7 @@ from .relation import Relation
 
 BRUTE_LIMIT = 10
 SYMMETRIC_LIMIT = 5
+CATALOG_LIMIT = 256  # largest max_order that `gen groups` writes
 
 
 class GroupValidationError(ValueError):
@@ -209,51 +210,32 @@ def _invariant_factor_chains(n: int, max_factor: int | None = None) -> list[tupl
     return chains
 
 
-def abelian_groups(order: int) -> list[FiniteGroup]:
-    """All abelian groups of the given order, via invariant factors."""
-    groups = []
+def abelian_groups(order: int) -> Iterator[FiniteGroup]:
+    """All abelian groups of the given order, via invariant factors, built
+    one at a time."""
     for chain in sorted(_invariant_factor_chains(order)):
         if not chain:
-            groups.append(cyclic(1))
+            yield cyclic(1)
             continue
         g = cyclic(chain[0])
         for d in chain[1:]:
             g = direct_product(g, cyclic(d))
-        groups.append(g)
-    return groups
+        yield g
 
 
-def group_catalog(
-    abelian_max: int = 0, dihedral_max: int = 0, symmetric_max: int = 0
-) -> list[FiniteGroup]:
-    """Instance families for the verification harness: all abelian groups of
-    order <= abelian_max, dihedral groups with parameter <= dihedral_max and
-    symmetric groups on <= symmetric_max points, deduplicated by table."""
-    groups: list[FiniteGroup] = []
-    for order in range(1, abelian_max + 1):
-        groups.extend(abelian_groups(order))
-    for m in range(1, dihedral_max + 1):
-        groups.append(dihedral(m))
-    for m in range(3, symmetric_max + 1):
-        groups.append(symmetric(m))
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    unique = []
-    for g in groups:
-        if g.table not in seen:
-            seen.add(g.table)
-            unique.append(g)
-    return unique
-
-
-def catalog_up_to_order(max_order: int) -> list[FiniteGroup]:
-    """Catalog members whose order is at most max_order."""
-    symmetric_max = max(m for m in range(2, SYMMETRIC_LIMIT + 1)
-                        if math.factorial(m) <= max_order) if max_order >= 2 else 0
-    return group_catalog(
-        abelian_max=max_order,
-        dihedral_max=max_order // 2,
-        symmetric_max=symmetric_max,
-    )
+def catalog_up_to_order(max_order: int) -> Iterator[FiniteGroup]:
+    """The catalog groups of order at most max_order, built one at a time:
+    every abelian group, order by order, then D3 .. D_{max_order // 2},
+    then S3 .. S_m with m! <= max_order.  No table repeats: D1 and D2 have
+    the tables of Z2 and Z2xZ2 and are left out, every later D_m and S_m is
+    non-abelian, and S3, S4 and S5 differ in table from D3, D12 and D60."""
+    for order in range(1, max_order + 1):
+        yield from abelian_groups(order)
+    for m in range(3, max_order // 2 + 1):
+        yield dihedral(m)
+    for m in range(3, SYMMETRIC_LIMIT + 1):
+        if math.factorial(m) <= max_order:
+            yield symmetric(m)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,11 +16,11 @@ from relgrowth import (
     check_girth_bound,
     check_proposition_basic,
     cyclic,
-    group_catalog,
     kappa,
     run_family,
     scan_girth_bound,
     shortest_zero_product_oracle,
+    symmetric,
     zero_product_witness,
 )
 from relgrowth.connectivity import atoms_oracle
@@ -65,7 +65,7 @@ def test_criterion_2_ball_growth_suite(circulants_14):
 
 
 def test_criterion_3_girth_bound_catalog():
-    groups = group_catalog(abelian_max=16, dihedral_max=8, symmetric_max=4)
+    groups = [*catalog_up_to_order(16), symmetric(4)]
     scans = [scan_girth_bound(g) for g in groups if g.n >= 2]
     assert all(s.ok for s in scans), [s.failures for s in scans if not s.ok]
     total = sum(s.total_subsets for s in scans)

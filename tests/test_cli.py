@@ -483,5 +483,17 @@ class TestGenCommand:
         assert not out.exists()
 
     def test_missing_param_exit_two(self, tmp_path):
-        assert main(["gen", "circulants", "--out-dir", str(tmp_path / "x")]) == 2
-        assert main(["gen", "circulants", "--n", "0", "--out-dir", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        for params in (["circulants"], ["circulants", "--n", "0"],
+                       ["circulants", "--n", "-3"], ["groups"]):
+            assert main(["gen", *params, "--out-dir", str(out)]) == 2
+            assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["257", str(10**20)])
+    def test_groups_over_bound_exit_two(self, tmp_path, capsys, order):
+        out = tmp_path / "grps"
+        assert main(["gen", "groups", "--max-order", order, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gen groups refused: max order {order} exceeds 256\n"
+        assert not out.exists()

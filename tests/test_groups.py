@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -18,7 +19,6 @@ from relgrowth import (
     cyclic,
     dihedral,
     direct_product,
-    group_catalog,
     group_from_table,
     is_point_transitive_brute,
     symmetric,
@@ -184,7 +184,7 @@ class TestValidation:
         tables = [NONASSOC, SLOW7, HALF6, loop_product(3, NONASSOC), loop_product(7, NONASSOC)]
         assert all(matches_cube(t) for t in tables)
         assert _light_generators(SLOW7) is None
-        catalog = catalog_up_to_order(64)
+        catalog = list(catalog_up_to_order(64))
         assert len(catalog) > 100
         assert not any(matches_cube(g.table) for g in catalog)
 
@@ -209,7 +209,7 @@ class TestValidation:
             raise AssertionError("exact check ran on a group")
 
         monkeypatch.setattr(groups, "_raise_first_nonassociative", exact_check)
-        assert len(catalog_up_to_order(32)) > 50
+        assert len(list(catalog_up_to_order(32))) > 50
         with pytest.raises(AssertionError):
             group_from_table(NONASSOC)
 
@@ -272,18 +272,33 @@ class TestFamilies:
     def test_abelian_counts(self):
         # number of abelian groups of order n
         for order, count in [(1, 1), (4, 2), (8, 3), (12, 2), (16, 5)]:
-            assert len(abelian_groups(order)) == count
+            assert len(list(abelian_groups(order))) == count
 
     def test_catalog_orders_and_dedup(self):
-        catalog = catalog_up_to_order(12)
-        assert all(g.n <= 12 for g in catalog)
+        catalog = list(catalog_up_to_order(64))
+        assert all(g.n <= 64 for g in catalog)
         assert len({g.table for g in catalog}) == len(catalog)
         assert any(g.name == "S3" for g in catalog)
 
-    def test_catalog_explicit_limits(self):
-        catalog = group_catalog(abelian_max=4, dihedral_max=8, symmetric_max=4)
-        assert any(g.n == 16 for g in catalog)  # D8
-        assert any(g.name == "S4" for g in catalog)
+    def test_catalog_up_to_24(self):
+        assert inspect.isgenerator(catalog_up_to_order(24))
+        catalog = {g.name: g for g in catalog_up_to_order(24)}
+        assert list(catalog) == [
+            "Z1", "Z2", "Z3", "Z2xZ2", "Z4", "Z5", "Z6", "Z7", "Z2xZ2xZ2", "Z2xZ4",
+            "Z8", "Z3xZ3", "Z9", "Z10", "Z11", "Z2xZ6", "Z12", "Z13", "Z14", "Z15",
+            "Z2xZ2xZ2xZ2", "Z2xZ2xZ4", "Z2xZ8", "Z4xZ4", "Z16", "Z17", "Z3xZ6",
+            "Z18", "Z19", "Z2xZ10", "Z20", "Z21", "Z22", "Z23", "Z2xZ2xZ6",
+            "Z2xZ12", "Z24",
+            "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "D11", "D12",
+            "S3", "S4",
+        ]
+        assert catalog["D8"].n == 16 and catalog["D8"].table == dihedral(8).table
+        assert catalog["S4"].n == 24 and catalog["S4"].table == symmetric(4).table
+
+    def test_catalog_leaves_out_abelian_dihedral(self):
+        # D1 and D2 are left out of the catalog because these tables repeat
+        assert dihedral(1).table == cyclic(2).table
+        assert dihedral(2).table == direct_product(cyclic(2), cyclic(2)).table
 
 
 class TestCayley:

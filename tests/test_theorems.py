@@ -15,7 +15,6 @@ from relgrowth import (
     cyclic,
     dihedral,
     direct_product,
-    group_catalog,
     hypothesis_window,
     run_family,
     scan_girth_bound,
@@ -191,6 +190,49 @@ class TestBallGrowth:
         report = check_ball_growth(rel, CAYLEY)
         assert report.checks[0].index == 0
         assert report.checks[0].lhs == 1 and report.checks[0].rhs == 1
+
+
+PRIME_CIRCULANTS = [
+    (p, gens) for p in (2, 3, 5, 7, 11, 13) for gens in subsets_of(range(1, p))
+]
+
+
+def is_progression(a, p):
+    """Whether a subset of Z_p with 2 <= |a| < p is an arithmetic progression."""
+    return any(
+        {(x + i * d) % p for i in range(len(a))} == a for x in a for d in range(1, p)
+    )
+
+
+class TestAdditiveOracles:
+    """Classical results on sumsets in Z_p as oracles for the reflexive
+    circulants Cay(Z_p, S): with S0 = S + {0} and r = |S0|, the j-ball around
+    0 is the j-fold sumset jS0."""
+
+    def test_cauchy_davenport_all_radii(self):
+        # |jS0| >= min(p, 1 + j(r - 1)) for every j, inside the hypothesis
+        # window and past it, where the paper's theorem says nothing
+        for p, gens in PRIME_CIRCULANTS:
+            rel, _ = cayley_relation(cyclic(p), gens, reflexive=True)
+            s0 = {0, *gens}
+            ball, sumset = rel.ball(0, 0), {0}
+            for j in range(p + 1):
+                assert set(ball) == sumset
+                assert len(ball) >= min(p, 1 + j * (len(s0) - 1)), (p, gens, j)
+                ball, sumset = rel.image(ball), {(x + s) % p for x in sumset for s in s0}
+
+    def test_vosper_decides_tightness(self):
+        # Vosper (1956): if |2S0| <= p - 2 then |2S0| = 2r - 1 exactly when
+        # S0 is an arithmetic progression
+        records = tight = 0
+        for p, gens in PRIME_CIRCULANTS:
+            rel, cert = cayley_relation(cyclic(p), gens, reflexive=True)
+            for c in check_ball_growth(rel, cert).checks:
+                if c.claim == "ball-lower-bound" and c.index == 2 and c.lhs <= p - 2:
+                    assert c.tight == is_progression({0, *gens}, p), (p, gens)
+                    records += 1
+                    tight += c.tight
+        assert (records, tight) == (208, 94)
 
 
 class TestGirthBound:
@@ -424,7 +466,10 @@ class TestRunFamily:
     def test_builders_match_catalog(self):
         build = theorems.FAMILIES["cayley_abelian"][1]
         for k in (8, 16, 30):
-            expected = [g for g in group_catalog(abelian_max=k) if g.n > 1]
+            # the commutative catalog tables: those equal to their transpose
+            expected = [
+                g for g in catalog_up_to_order(k) if g.n > 1 and g.table == tuple(zip(*g.table))
+            ]
             assert [(g.name, g.table) for g in build(k)] == [
                 (g.name, g.table) for g in expected
             ]
