@@ -10,21 +10,20 @@ until the window closes.
 Run with:  python3 demos/01_balls_and_spheres.py
 """
 
-from relgrowth import Relation, cayley_relation, cyclic, hypothesis_window
+from relgrowth import Relation, cayley_relation, cyclic, growth_profile
 
 
 def show_growth(rel, v, label):
-    window = hypothesis_window(rel, v)
+    profile = growth_profile(rel, v)
     r = rel.regular_degree()
-    print(f"{label}: n={rel.n}, r={r}, window max_j={window.max_j}")
+    print(f"{label}: n={rel.n}, r={r}, window max_j={profile.max_j}")
     print("  j  |ball|  |sphere|  bound r-1")
     previous = 1
-    for j in range(0, min(window.max_j, rel.n) + 1):
-        ball = rel.ball(v, j)
-        sphere = len(ball) - previous
+    for j, ball in enumerate(profile.balls):
+        size = ball.bit_count()
         marker = "-" if j == 0 else str(r - 1)
-        print(f"  {j}  {len(ball):5d}  {sphere:8d}  {marker:>9}")
-        previous = len(ball)
+        print(f"  {j}  {size:5d}  {size - previous:8d}  {marker:>9}")
+        previous = size
     print()
 
 

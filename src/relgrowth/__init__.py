@@ -39,7 +39,7 @@ from .theorems import (
     check_girth_bound,
     check_lemma_powers,
     check_main_theorem,
-    hypothesis_window,
+    growth_profile,
     run_family,
     scan_girth_bound,
     shortest_zero_product_oracle,

@@ -53,7 +53,7 @@ def _cmd_kappa(args) -> int:
     oracle = connectivity.atoms_oracle(rel) if args.oracle else None
     result = connectivity.kappa(rel)
     if v is not None:
-        atom = connectivity._least_atom_containing(result, v)
+        atom = result.atom_containing(v)
         if atom is None:
             print(f"no atom contains vertex {v}")
         else:
@@ -147,6 +147,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.max_order is None:
             raise ValueError("gen groups requires --max-order")
+        if args.max_order < 1:
+            raise ValueError(f"gen groups refused: max order {args.max_order} is below 1")
         if args.max_order > CATALOG_LIMIT:
             raise ValueError(
                 f"gen groups refused: max order {args.max_order} exceeds {CATALOG_LIMIT}"

@@ -61,6 +61,12 @@ class ConnectivityResult:
     atom_size: int | None
     atoms: tuple[Fragment, ...]
 
+    def atom_containing(self, v: int) -> Fragment | None:
+        """Lexicographically least atom containing v, or None if no atom does."""
+        if self.complete:
+            raise AtomsUndefinedError("atoms are undefined for a complete relation")
+        return next((atom for atom in self.atoms if v in atom.set), None)
+
 
 class _CutKernel:
     """Vertex cuts on one direction of a relation as bitmask searches.
@@ -323,16 +329,10 @@ def atoms_oracle(rel: Relation) -> tuple[int, list[Fragment]]:
 
 
 def atom_containing(rel: Relation, v: int) -> Fragment | None:
-    """Lexicographically least atom containing v, or None if no atom does."""
+    """kappa(rel).atom_containing(v), for a vertex v of rel."""
     if not 0 <= v < rel.n:
         raise ValueError(f"vertex {v} out of range for n={rel.n}")
-    return _least_atom_containing(kappa(rel), v)
-
-
-def _least_atom_containing(result: ConnectivityResult, v: int) -> Fragment | None:
-    if result.complete:
-        raise AtomsUndefinedError("atoms are undefined for a complete relation")
-    return next((atom for atom in result.atoms if v in atom.set), None)
+    return kappa(rel).atom_containing(v)
 
 
 def _pairwise_disjoint(fragments: tuple[Fragment, ...]) -> bool:

@@ -149,38 +149,28 @@ def _raise_first_nonassociative(t: np.ndarray) -> None:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return group_from_table(table, f"Z{n}")
+    a = np.arange(n)
+    return group_from_table((a[:, None] + a) % n, f"Z{n}")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Row-major pairing: element (a, b) has index a * g2.n + b."""
     n2 = g2.n
-    size = g1.n * n2
-    table = [[0] * size for _ in range(size)]
-    for a1 in range(g1.n):
-        for b1 in range(n2):
-            row = table[a1 * n2 + b1]
-            for a2 in range(g1.n):
-                for b2 in range(n2):
-                    row[a2 * n2 + b2] = g1.table[a1][a2] * n2 + g2.table[b1][b2]
-    return group_from_table(table, f"{g1.name}x{g2.name}")
+    t1, t2 = np.array(g1.table), np.array(g2.table)
+    # entry [a1, b1, a2, b2] is the product of (a1, b1) and (a2, b2)
+    table = t1[:, None, :, None] * n2 + t2[None, :, None, :]
+    return group_from_table(table.reshape(g1.n * n2, g1.n * n2), f"{g1.name}x{g2.name}")
 
 
 def dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m: rotations 0..m-1, reflections m..2m-1."""
     if m < 1:
         raise ValueError("dihedral parameter must be positive")
-    size = 2 * m
-
-    def mul(a: int, b: int) -> int:
-        k1, f1 = a % m, a // m
-        k2, f2 = b % m, b // m
-        k = (k1 + (k2 if f1 == 0 else -k2)) % m
-        return k + m * (f1 ^ f2)
-
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
-    return group_from_table(table, f"D{m}")
+    a = np.arange(2 * m)
+    k, f = a % m, a // m
+    # a reflection first turns the rotation that follows it backwards
+    rotation = (k[:, None] + (1 - 2 * f)[:, None] * k) % m
+    return group_from_table(rotation + m * (f[:, None] ^ f), f"D{m}")
 
 
 def symmetric(m: int) -> FiniteGroup:

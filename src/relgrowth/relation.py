@@ -129,11 +129,6 @@ class Relation:
             for v in _iter_bits(self.succ[u]):
                 yield u, v
 
-    def successors(self, v: int) -> VertexSet:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return VertexSet(self.n, self.succ[v])
-
     def image(self, a: VertexSet) -> VertexSet:
         """Union of the successor sets of the members of `a`."""
         if a.n != self.n:
@@ -188,18 +183,6 @@ class Relation:
         for _ in range(j):
             bits = _image_bits(self.succ, bits)
         return VertexSet(self.n, bits)
-
-    def sphere(self, v: int, j: int) -> VertexSet:
-        """Vertices in the j-ball but not the (j-1)-ball around v."""
-        if j < 1:
-            raise ValueError("sphere radius must be at least 1")
-        inner = self.ball(v, j - 1)
-        return self.ball(v, j).difference(inner)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.succ[v].bit_count()
 
     def regular_degree(self) -> int | None:
         """The common out-degree, or None if the relation is not regular."""

@@ -152,7 +152,7 @@ def growth_profile(rel: Relation, v: int) -> GrowthProfile:
     return GrowthProfile(v, tuple(balls))
 
 
-hypothesis_window = growth_profile  # the window is the profile's max_j
+hypothesis_window = growth_profile  # kept only because perfbench/tracing.py wraps this name
 
 
 def _require_regular(rel: Relation) -> None:
@@ -420,14 +420,11 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     # which always contains an inverse pair when n > 1.
     if n > 1:
         tight += 1
-    scanned = 0
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+    choices = itertools.product((0, 1, 2), repeat=len(pairs))
+    for choice in itertools.islice(choices, 1, None):  # the first is the empty set
         gens = tuple(
             sorted(p[c - 1] for p, c in zip(pairs, choice) if c)
         )
-        if not gens:
-            continue
-        scanned += 1
         r = len(gens)
         g = len(_shortest_return(group, gens))
         lhs, rhs = n, 1 + r * (g - 1)
@@ -443,7 +440,7 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
         elif lhs == rhs:
             tight += 1
     return GirthScanResult(
-        group.name, n, total, total - inverse_free, scanned, tight, failures
+        group.name, n, total, total - inverse_free, inverse_free, tight, failures
     )
 
 

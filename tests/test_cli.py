@@ -482,12 +482,16 @@ class TestGenCommand:
         )
         assert not out.exists()
 
-    def test_missing_param_exit_two(self, tmp_path):
+    def test_missing_param_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x"
         for params in (["circulants"], ["circulants", "--n", "0"],
-                       ["circulants", "--n", "-3"], ["groups"]):
+                       ["circulants", "--n", "-3"], ["groups"],
+                       ["groups", "--max-order", "0"], ["groups", "--max-order", "-3"]):
             assert main(["gen", *params, "--out-dir", str(out)]) == 2
             assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("order", ["257", str(10**20)])
     def test_groups_over_bound_exit_two(self, tmp_path, capsys, order):

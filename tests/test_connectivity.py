@@ -462,6 +462,18 @@ class TestAtoms:
         with pytest.raises(AtomsUndefinedError):
             atom_containing(complete(3), 0)
 
+    def test_atom_containing_matches_oracle_on_corpus(self):
+        for rel in oracle_corpus():
+            result = kappa(rel)
+            _, atoms = atoms_oracle(rel)
+            for v in range(rel.n):
+                if not atoms:
+                    with pytest.raises(AtomsUndefinedError):
+                        result.atom_containing(v)
+                    continue
+                least = next((a for a in atoms if v in a.set), None)
+                assert result.atom_containing(v) == least, (rel, v)
+
     def test_transitive_relations_cover_all_vertices(self):
         for gens in ([1], [1, 2], [2, 3]):
             rel, _ = cayley_relation(cyclic(7), gens, reflexive=True)

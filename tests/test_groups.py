@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -279,6 +280,15 @@ class TestFamilies:
         assert all(g.n <= 64 for g in catalog)
         assert len({g.table for g in catalog}) == len(catalog)
         assert any(g.name == "S3" for g in catalog)
+
+    def test_catalog_tables_pinned(self):
+        # any slip in how a constructor lays out its table changes the hash
+        digest = hashlib.sha256()
+        for g in catalog_up_to_order(64):
+            digest.update(repr((g.name, g.table)).encode())
+        assert digest.hexdigest() == (
+            "3278e019eeb96fd366c274a4cff0d4a6cd36c9074b2085870745b5084f083c60"
+        )
 
     def test_catalog_up_to_24(self):
         assert inspect.isgenerator(catalog_up_to_order(24))

@@ -75,12 +75,12 @@ class TestComposeAndPower:
 
     def test_two_steps_on_cycle(self):
         sq = cycle(5).compose(cycle(5))
-        assert sq.successors(0).members() == (2,)
+        assert sq.ball(0, 1).members() == (2,)
 
     def test_compose_with_reverse_on_cycle(self):
         rel = cycle(3)
         # enumerate intermediates by hand: 0 -> 1 -> 0 is the only route
-        assert rel.compose(rel.reverse()).successors(0).members() == (0,)
+        assert rel.compose(rel.reverse()).ball(0, 1).members() == (0,)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -89,7 +89,7 @@ class TestComposeAndPower:
     def test_power_zero_and_negative(self):
         rel = cycle(5)
         assert rel.power(0) == Relation.identity(5)
-        assert rel.power(3).successors(0).members() == (3,)
+        assert rel.power(3).ball(0, 1).members() == (3,)
         assert rel.power(-1) == rel.reverse()
 
 
@@ -104,15 +104,18 @@ class TestBallsAndSpheres:
         rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
         assert rel.ball(0, 4).members() == tuple(range(9))
 
+    # the j-sphere is the j-ball less the (j - 1)-ball
     def test_reflexive_cycle_sphere(self):
-        assert cycle(7, reflexive=True).sphere(0, 3).members() == (3,)
+        rel = cycle(7, reflexive=True)
+        assert rel.ball(0, 3).difference(rel.ball(0, 2)).members() == (3,)
 
     def test_identity_sphere_empty(self):
-        assert not Relation.identity(4).sphere(1, 1)
+        rel = Relation.identity(4)
+        assert not rel.ball(1, 1).difference(rel.ball(1, 0))
 
     def test_circulant_sphere(self):
         rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
-        assert rel.sphere(0, 2).members() == (3, 4)
+        assert rel.ball(0, 2).difference(rel.ball(0, 1)).members() == (3, 4)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
@@ -122,12 +125,12 @@ class TestBallsAndSpheres:
 class TestDegree:
     def test_reflexive_cycle_degree(self):
         rel = cycle(5, reflexive=True)
-        assert all(rel.degree(v) == 2 for v in range(5))
+        assert all(len(rel.ball(v, 1)) == 2 for v in range(5))
         assert rel.regular_degree() == 2
 
     def test_star_not_regular(self):
         star = Relation.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert star.degree(0) == 3
+        assert len(star.ball(0, 1)) == 3
         assert star.regular_degree() is None
 
     def test_cayley_regularity(self):
