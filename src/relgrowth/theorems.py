@@ -9,8 +9,10 @@ All the bounds follow from one sphere bound, and each quantity has one
 route.  `growth_profile` walks the balls around a vertex once, to the end
 of the hypothesis window, and the sphere, ball and girth-window records are
 read from it.  `_shortest_return` is the one search for a shortest product
-equal to the identity: its length is the girth of the Cayley relation and
-its sequence the zero-product witness.
+equal to the identity, and its sequence is the zero-product witness.  The
+girth scan of a whole group runs one batched breadth-first search over all
+its inverse-free generator sets (`_block_girths`), and `_shortest_return`
+is that search's test oracle: their lengths agree set by set.
 
 `_instance_reports` is the one core that builds the sphere, ball and girth
 records of an instance; it makes the reflexive closure once and walks each
@@ -25,6 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .groups import (
     BRUTE_LIMIT,
@@ -369,6 +373,10 @@ def check_lemma_powers(rel: Relation, i: int) -> LemmaPowersReport:
 
 # generator sets one family run, or one girth scan, may enumerate
 MAX_ENUMERATED_INSTANCES = 200_000
+# a girth-scan block holds the 3^_BLOCK_PAIRS = 729 inverse-free generator
+# sets that differ only in the last _BLOCK_PAIRS inverse pairs, so the
+# scan's arrays are O(729 n) words, however many sets the group has
+_BLOCK_PAIRS = 6
 
 
 @dataclass(slots=True)
@@ -378,8 +386,9 @@ class GirthScanResult:
 
     Subsets containing an inverse pair (or an involution) have girth 2, where
     the bound 1 + r reduces to r <= n - 1 and holds for every subset; they
-    are verified as one aggregate class.  The remaining, inverse-free subsets
-    are checked one by one with a breadth-first girth computation.
+    are verified as one aggregate class.  The girths of the remaining,
+    inverse-free subsets come from one batched breadth-first search per
+    block of subsets (`_block_girths`).
     """
 
     group: str
@@ -397,8 +406,11 @@ class GirthScanResult:
 
 def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     """The pairs (g, g^-1) with g < g^-1, whose 3^pairs - 1 choices are the
-    inverse-free generator sets; refuses a group with more of those than a
-    girth scan may enumerate."""
+    inverse-free generator sets.  Refuses a group with more of those than a
+    girth scan may enumerate, and a group of order above 64 with an inverse
+    pair: the scan packs a set of elements into one 64-bit word, and it
+    refuses such a group rather than pack more words (no catalog group of
+    order above 64 has both an inverse pair and at most 200 000 sets)."""
     pairs = [(g, h) for g in range(1, group.n) if g < (h := group.inverse(g))]
     inverse_free = 3 ** len(pairs) - 1
     if inverse_free > MAX_ENUMERATED_INSTANCES:
@@ -406,7 +418,48 @@ def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
             f"girth scan of {group.name} refused: {inverse_free} generator sets"
             f" exceed {MAX_ENUMERATED_INSTANCES}"
         )
+    if pairs and group.n > 64:
+        raise ValueError(
+            f"girth scan of {group.name} refused: order {group.n} exceeds 64"
+        )
     return pairs
+
+
+def _block_girths(translates: np.ndarray) -> np.ndarray:
+    """The girths of a block of loopless Cayley relations of one group, by
+    one breadth-first search from the identity over all of them at once.
+
+    Column b describes set S_b: translates[g, b] is the bitmask of the left
+    translate g S_b.  A layer's image is the OR of the translates that its
+    frontier's bits pick out; a set's girth is the first layer whose image
+    holds the identity (bit 0), and finished sets drop out.  Each girth
+    equals `len(_shortest_return(group, S_b))`.
+    """
+    n, count = translates.shape
+    girths = np.zeros(count, dtype=np.int64)
+    columns = np.arange(count)
+    frontier = translates[0].copy()  # layer 1's image, S itself, lacks the identity
+    reached = frontier | 1
+    for layer in range(2, n + 1):  # a girth is at most any generator's order
+        # only the elements of some frontier pick out a translate
+        present = int(np.bitwise_or.reduce(frontier))
+        rows = [g for g in range(n) if present >> g & 1]
+        picked = frontier >> np.array(rows, dtype=np.uint64)[:, None]
+        picked &= 1
+        picked *= translates[rows]
+        image = np.bitwise_or.reduce(picked, axis=0)
+        done = (image & 1).astype(bool)
+        finished = np.count_nonzero(done)
+        if finished:
+            girths[columns[done]] = layer
+            if finished == len(columns):
+                return girths
+            keep = ~done
+            columns, translates = columns[keep], translates[:, keep]
+            image, reached = image[keep], reached[keep]
+        frontier = image & ~reached
+        reached |= image
+    raise BugError(f"identity unreachable over {len(columns)} generator sets")
 
 
 def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
@@ -420,25 +473,42 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     # which always contains an inverse pair when n > 1.
     if n > 1:
         tight += 1
-    choices = itertools.product((0, 1, 2), repeat=len(pairs))
-    for choice in itertools.islice(choices, 1, None):  # the first is the empty set
-        gens = tuple(
-            sorted(p[c - 1] for p, c in zip(pairs, choice) if c)
-        )
-        r = len(gens)
-        g = len(_shortest_return(group, gens))
-        lhs, rhs = n, 1 + r * (g - 1)
-        if lhs < rhs:
+    if not pairs:
+        return GirthScanResult(group.name, n, total, total, 0, tight, failures)
+    # The sets come in itertools.product((0, 1, 2), repeat=len(pairs))
+    # order: pair (a, b)'s digit picks neither, a or b.  A block is the
+    # 3^_BLOCK_PAIRS sets that share the digits of all but the last pairs;
+    # their left translates are those of the last pairs' choices (built
+    # once) ORed with those of the block's shared members.
+    bits = np.left_shift(1, np.asarray(group.table, dtype=np.uint64))  # 1 << g*h
+    split = max(0, len(pairs) - _BLOCK_PAIRS)
+    width = len(pairs) - split
+    low = np.arange(3**width)[:, None] // 3 ** np.arange(width - 1, -1, -1) % 3
+    low_translates = np.zeros((n, len(low)), dtype=np.uint64)
+    none = np.zeros(n, dtype=np.uint64)
+    for (a, b), column in zip(pairs[split:], low.T):
+        low_translates |= np.stack([none, bits[:, a], bits[:, b]], axis=1)[:, column]
+    low_r = np.count_nonzero(low, axis=1)
+    for high in itertools.product((0, 1, 2), repeat=split):
+        members = [pair[d - 1] for pair, d in zip(pairs, high) if d]
+        first = 0 if members else 1  # the first set of all is the empty set
+        shared = np.bitwise_or.reduce(bits[:, members], axis=1)
+        r = low_r[first:] + len(members)
+        girths = _block_girths(low_translates[:, first:] | shared[:, None])
+        rhs = 1 + r * (girths - 1)
+        tight += int(np.count_nonzero(rhs == n))
+        for i in np.flatnonzero(rhs > n).tolist():
+            digits = high + tuple(low[first + i].tolist())
+            gens = sorted(pair[d - 1] for pair, d in zip(pairs, digits) if d)
+            g = int(girths[i])
             report = VerificationReport(
                 "girth-scan",
-                f"Cay({group.name},{list(gens)})",
-                {"group": group.name, "gens": list(gens)},
-                r,
-                [CheckRecord("girth-order-bound", g, lhs, rhs)],
+                f"Cay({group.name},{gens})",
+                {"group": group.name, "gens": gens},
+                len(gens),
+                [CheckRecord("girth-order-bound", g, n, 1 + len(gens) * (g - 1))],
             )
             failures.append(report)
-        elif lhs == rhs:
-            tight += 1
     return GirthScanResult(
         group.name, n, total, total - inverse_free, inverse_free, tight, failures
     )

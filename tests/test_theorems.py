@@ -1,3 +1,7 @@
+import itertools
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -378,6 +382,49 @@ class TestLemmaPowers:
         assert (empty.automorphism_count, empty.holds) == (1, True)
 
 
+def reference_scan_girth_bound(group):
+    """The per-set girth scan that the batched search replaced, kept as its
+    reference: one `_shortest_return` search per inverse-free set."""
+    n = group.n
+    total = (1 << (n - 1)) - 1 if n > 1 else 0
+    pairs = theorems._inverse_pairs(group)
+    inverse_free = 3 ** len(pairs) - 1
+    tight = 1 if n > 1 else 0
+    failures = []
+    choices = itertools.product((0, 1, 2), repeat=len(pairs))
+    for choice in itertools.islice(choices, 1, None):  # the first is the empty set
+        gens = tuple(sorted(p[c - 1] for p, c in zip(pairs, choice) if c))
+        r = len(gens)
+        g = len(theorems._shortest_return(group, gens))
+        lhs, rhs = n, 1 + r * (g - 1)
+        if lhs < rhs:
+            failures.append(theorems.VerificationReport(
+                "girth-scan",
+                f"Cay({group.name},{list(gens)})",
+                {"group": group.name, "gens": list(gens)},
+                r,
+                [theorems.CheckRecord("girth-order-bound", g, lhs, rhs)],
+            ))
+        elif lhs == rhs:
+            tight += 1
+    return theorems.GirthScanResult(
+        group.name, n, total, total - inverse_free, inverse_free, tight, failures
+    )
+
+
+def members(mask):
+    return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+
+# criterion 3's groups, one of order 64 (its masks use bit 63), and Z24,
+# whose 177 146 inverse-free sets fill many blocks
+Z2_CUBED = direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
+ORDER_64 = direct_product(dihedral(4), Z2_CUBED)
+SCAN_CORPUS = [
+    g for g in [*catalog_up_to_order(16), symmetric(4), ORDER_64, cyclic(24)] if g.n >= 2
+]
+
+
 class TestGirthScan:
     def test_matches_per_instance_checker_small_groups(self):
         for group in (cyclic(6), cyclic(7), dihedral(3),
@@ -394,6 +441,38 @@ class TestGirthScan:
             assert scan.total_subsets == (1 << (group.n - 1)) - 1
             assert scan.tight_subsets == brute_tight
 
+    @pytest.mark.parametrize("group", SCAN_CORPUS, ids=lambda g: g.name)
+    def test_batched_matches_reference(self, group, monkeypatch):
+        # every field equals the per-set reference's, and every set's batched
+        # girth is its shortest return; the kernel sees each set exactly once
+        seen = []
+        kernel = theorems._block_girths
+
+        def recorded(translates):
+            girths = kernel(translates)
+            seen.extend(zip(translates[0].tolist(), girths.tolist()))
+            return girths
+
+        monkeypatch.setattr(theorems, "_block_girths", recorded)
+        assert scan_girth_bound(group) == reference_scan_girth_bound(group)
+        assert len({mask for mask, _ in seen}) == len(seen) == 3 ** len(
+            theorems._inverse_pairs(group)) - 1
+        for mask, girth in seen:  # the translate of the identity is S itself
+            assert girth == len(theorems._shortest_return(group, members(mask))), mask
+
+    def test_corpus_reaches_bit_63_and_block_boundaries(self, monkeypatch):
+        calls = []
+        kernel = theorems._block_girths
+        monkeypatch.setattr(theorems, "_block_girths",
+                            lambda translates: calls.append(translates) or kernel(translates))
+        scan_girth_bound(ORDER_64)
+        assert ORDER_64.n == 64 and len(theorems._inverse_pairs(ORDER_64)) == 8
+        assert any(int(t.max()) >> 63 for t in calls)
+        calls.clear()
+        scan = scan_girth_bound(cyclic(24))
+        assert scan.scanned_subsets == 3 ** 11 - 1 > 3 ** theorems._BLOCK_PAIRS
+        assert len(calls) == 3 ** (11 - theorems._BLOCK_PAIRS)
+
     def test_counts_partition(self):
         scan = scan_girth_bound(symmetric(3))
         assert scan.girth_two_subsets + scan.scanned_subsets == scan.total_subsets
@@ -403,6 +482,70 @@ class TestGirthScan:
         monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 100)
         with pytest.raises(ValueError, match="Z12 refused: 242 generator sets"):
             scan_girth_bound(cyclic(12))
+
+    def test_refused_above_order_64_with_inverse_pair(self, monkeypatch, capsys):
+        # the masks hold 64 elements; D33 (order 66, 16 pairs) is refused
+        # before any array is built, here even with the set bound lifted
+        monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 10**9)
+        monkeypatch.setattr(theorems, "np", None)
+        with pytest.raises(ValueError, match="^girth scan of D33 refused: order 66 exceeds 64$"):
+            scan_girth_bound(dihedral(33))
+        assert main(["verify", "cayley_dihedral", "--max-m", "33", "--checks", "girth"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: girth scan of D33 refused: order 66 exceeds 64\n"
+
+    def test_no_pairs_above_order_64_still_scans(self):
+        group = cyclic(2)
+        for _ in range(6):
+            group = direct_product(group, cyclic(2))
+        scan = scan_girth_bound(group)
+        assert (scan.order, scan.scanned_subsets, scan.tight_subsets, scan.failures) == (
+            128, 0, 1, [])
+        assert scan.girth_two_subsets == scan.total_subsets == 2**127 - 1
+
+
+def lengthened(kernel):
+    """The kernel with 5 added to the girth of every set holding element 1."""
+    def girths(translates):
+        return kernel(translates) + 5 * (translates[0] >> 1 & 1).astype(np.int64)
+    return girths
+
+
+class TestGirthScanFailures:
+    """No valid scan fails, so these inject longer girths into the kernel."""
+
+    def test_records_match_reference(self, monkeypatch):
+        shortest = theorems._shortest_return
+        monkeypatch.setattr(theorems, "_block_girths", lengthened(theorems._block_girths))
+        scan = scan_girth_bound(cyclic(7))
+        monkeypatch.setattr(theorems, "_shortest_return", lambda group, gens: shortest(
+            group, gens) + [0] * (5 if 1 in gens else 0))
+        assert scan == reference_scan_girth_bound(cyclic(7))
+        # the 9 sets holding 1, in product order, all fail
+        assert [f.params["gens"] for f in scan.failures] == [
+            [1], [1, 3], [1, 4], [1, 2], [1, 2, 3], [1, 2, 4], [1, 5], [1, 3, 5], [1, 4, 5]]
+        (record,) = [f for f in scan.failures if f.descriptor == "Cay(Z7,[1, 2])"]
+        assert record.to_dict() == {
+            "family": "girth-scan", "instance": "Cay(Z7,[1, 2])",
+            "params": {"group": "Z7", "gens": [1, 2]}, "r": 2,
+            "checks": [{"claim": "girth-order-bound", "index": 9, "lhs": 7, "rhs": 17,
+                        "pass": False, "tight": False}],
+            "witnesses": {}, "caveats": [],
+        }
+        (check,) = record.checks
+        values = [record.r, check.index, check.lhs, check.rhs, *record.params["gens"]]
+        assert all(type(v) is int for v in values)
+
+    def test_cli_exits_one_with_readable_report(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(theorems, "_block_girths", lengthened(theorems._block_girths))
+        path = tmp_path / "girth.ndjson"
+        code = main(["verify", "circulants", "--max-n", "7", "--checks", "girth",
+                     "--report", str(path)])
+        assert code == 1 and capsys.readouterr().err == ""
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        expected = [f.to_dict() for n in range(2, 8) for f in scan_girth_bound(cyclic(n)).failures]
+        assert records == expected and len(records) == 1 + 1 + 3 + 3 + 9
 
 
 class TestRunFamily:
