@@ -14,12 +14,17 @@ girth scan of a whole group runs one batched breadth-first search over all
 its inverse-free generator sets (`_block_girths`), and `_shortest_return`
 is that search's test oracle: their lengths agree set by set.
 
-`_instance_reports` is the one core that builds the sphere, ball and girth
-records of an instance; it makes the reflexive closure once and walks each
-base vertex once.  `run_family` sends every instance, a generator subset or
-a relation file, through it.  `check_main_theorem`, `check_ball_growth` and
-`check_girth_bound` are fronts for a single relation: each checks its
-preconditions, then returns the core's one report.
+`_size_records` is the one source of sphere and ball records: it reads
+them off the ball sizes of a hypothesis window.  `_instance_reports` builds
+the records of one relation; it makes the reflexive closure once and walks
+each base vertex once.  `run_family` sends every relation file through it,
+and `check_main_theorem`, `check_ball_growth` and `check_girth_bound` are
+fronts for a single relation: each checks its preconditions, then returns
+the core's one report.  The generator sets of a built-in family build no
+relation: one batched walk per group (`_block_windows`) gives the window's
+ball sizes around the identity of every reflexive Cay(G, S + {e}), and left
+translations, being automorphisms, give every other base vertex the same
+records.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .groups import (
     _automorphisms,
     _subset_members,
     abelian_groups,
-    cayley_relation,
+    cayley_relation,  # unused here; perfbench/tracing.py wraps this name
     cyclic,
     dihedral,
     is_point_transitive_brute,
@@ -164,6 +169,24 @@ def _require_regular(rel: Relation) -> None:
         raise ValueError("relation is not regular (so not point-transitive)")
 
 
+def _size_records(
+    sizes: tuple[int, ...], r: int, bound_delta: int
+) -> tuple[tuple[CheckRecord, ...], tuple[CheckRecord, ...]]:
+    """The sphere and the ball records of one vertex, from its ball sizes
+    |B_0|, ..., |B_max_j| in the hypothesis window of an r-regular
+    reflexive relation.  The records are frozen, so callers may share them
+    among instances with the same (r, sizes)."""
+    sphere = tuple(
+        CheckRecord("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
+        for j in range(1, len(sizes))
+    )
+    ball = tuple(
+        CheckRecord("ball-lower-bound", j, size, 1 + (r - 1) * j)
+        for j, size in enumerate(sizes)
+    )
+    return sphere, ball
+
+
 def _instance_reports(
     rel: Relation,
     certificate: TransitivityCertificate,
@@ -199,25 +222,18 @@ def _instance_reports(
     if "main" in checks or "growth" in checks:
         vertices = range(rel.n) if all_vertices else range(min(rel.n, 1))
         profiles = [growth_profile(closure, v) for v in vertices]
+    records = [
+        _size_records(tuple(b.bit_count() for b in profile.balls), r, bound_delta)
+        for profile in profiles
+    ]
     caveats = () if certificate.certified else ("uncertified-transitivity",)
     reports = []
-    if "main" in checks:
-        report = VerificationReport(family, descriptor, params, r, caveats=caveats)
-        for profile in profiles:
-            sizes = [b.bit_count() for b in profile.balls]
-            report.checks.extend(
-                CheckRecord("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
-                for j in range(1, len(sizes))
-            )
-        reports.append(report)
-    if "growth" in checks:
-        report = VerificationReport(family, descriptor, params, r, caveats=caveats)
-        for profile in profiles:
-            report.checks.extend(
-                CheckRecord("ball-lower-bound", j, b.bit_count(), 1 + (r - 1) * j)
-                for j, b in enumerate(profile.balls)
-            )
-        reports.append(report)
+    for claim, kind in (("main", 0), ("growth", 1)):
+        if claim in checks:
+            report = VerificationReport(family, descriptor, params, r, caveats=caveats)
+            for vertex_records in records:
+                report.checks.extend(vertex_records[kind])
+            reports.append(report)
     if "girth" in checks:
         loopless = rel.remove_loops()
         degree = loopless.regular_degree()
@@ -425,6 +441,18 @@ def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     return pairs
 
 
+def _block_image(sets: np.ndarray, translates: np.ndarray) -> np.ndarray:
+    """Column b's image: the OR of the translates translates[g, b] over the
+    elements g of sets[b], one layer of a batched walk."""
+    # only the elements of some set pick out a translate
+    present = int(np.bitwise_or.reduce(sets))
+    rows = [g for g in range(len(translates)) if present >> g & 1]
+    picked = sets >> np.array(rows, dtype=np.uint64)[:, None]
+    picked &= 1
+    picked *= translates[rows]
+    return np.bitwise_or.reduce(picked, axis=0)
+
+
 def _block_girths(translates: np.ndarray) -> np.ndarray:
     """The girths of a block of loopless Cayley relations of one group, by
     one breadth-first search from the identity over all of them at once.
@@ -441,13 +469,7 @@ def _block_girths(translates: np.ndarray) -> np.ndarray:
     frontier = translates[0].copy()  # layer 1's image, S itself, lacks the identity
     reached = frontier | 1
     for layer in range(2, n + 1):  # a girth is at most any generator's order
-        # only the elements of some frontier pick out a translate
-        present = int(np.bitwise_or.reduce(frontier))
-        rows = [g for g in range(n) if present >> g & 1]
-        picked = frontier >> np.array(rows, dtype=np.uint64)[:, None]
-        picked &= 1
-        picked *= translates[rows]
-        image = np.bitwise_or.reduce(picked, axis=0)
+        image = _block_image(frontier, translates)
         done = (image & 1).astype(bool)
         finished = np.count_nonzero(done)
         if finished:
@@ -515,6 +537,81 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
 
 
 # ---------------------------------------------------------------------------
+# Whole-group ball walk
+
+# a ball-walk block holds the 2^_BLOCK_BITS generator sets that share their
+# members above element _BLOCK_BITS, so the walk's arrays are O(1024 n)
+# words, however many sets the group has
+_BLOCK_BITS = 10
+
+
+def _block_windows(translates: np.ndarray, inverses: np.ndarray) -> list[tuple[int, ...]]:
+    """The ball sizes in the hypothesis window around the identity of a
+    block of reflexive Cayley relations of one group, by one walk over all
+    of them at once.
+
+    Column b describes T_b = S_b + {e}: translates[g, b] is the bitmask of
+    the left translate g T_b, and inverses[b] that of T_b^-1, the reverse
+    image of the identity.  A layer's ball is the OR of the translates that
+    the previous ball's bits pick out.  As in `growth_profile`, a window
+    ends before the first ball that meets T_b^-1 outside the identity, or
+    runs to n once a ball stops growing, and finished columns drop out.
+    Entry b is the popcounts of `growth_profile(Cay(G, T_b), e).balls`.
+    Any reflexive relations given the same way, by each vertex's
+    successors and the reverse image of vertex 0, walk alike from 0.
+    """
+    n, count = translates.shape
+    sizes = np.ones((n + 1, count), dtype=np.int64)
+    ends = np.full(count, n)
+    columns = np.arange(count)
+    ball = np.ones(count, dtype=np.uint64)
+    for j in range(1, n + 1):
+        image = _block_image(ball, translates)
+        counts = np.bitwise_count(image)
+        sizes[j, columns] = counts
+        closed = (image & inverses) != 1
+        stable = ~closed & (image == ball)  # the window stays open for good
+        ends[columns[closed]] = j - 1
+        sizes[j + 1 :, columns[stable]] = counts[stable]
+        keep = ~(closed | stable)
+        if not keep.any():
+            break
+        columns, translates, inverses = columns[keep], translates[:, keep], inverses[keep]
+        ball = image[keep]
+    return [tuple(s[: end + 1]) for s, end in zip(sizes.T.tolist(), ends.tolist())]
+
+
+def _window_sizes(group: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The hypothesis-window ball sizes around the identity of every
+    reflexive Cay(G, S + {e}), S a nonempty subset of G - {e}, in
+    `subsets_of(range(1, n))` order.
+
+    A block is the sets that share their members above element
+    _BLOCK_BITS; their translates are those of the low members' choices
+    (built once) ORed with those of the shared high members.  A family run
+    holds at most 200 000 sets, so n <= 18 and a set fits one 64-bit word.
+    """
+    n = group.n
+    bits = np.left_shift(1, np.asarray(group.table, dtype=np.uint64))  # 1 << g*h
+    inverse_bits = np.left_shift(
+        1, np.array([group.inverse(g) for g in range(n)], dtype=np.uint64)
+    )
+    low = min(n - 1, _BLOCK_BITS)
+    # column L holds element s iff bit s - 1 of L is set, as in subsets_of
+    low_translates, low_inverses = bits[:, :1], inverse_bits[:1]  # T = {e}
+    for s in range(1, low + 1):
+        low_translates = np.hstack([low_translates, low_translates | bits[:, s, None]])
+        low_inverses = np.concatenate([low_inverses, low_inverses | inverse_bits[s]])
+    for high in range(1 << (n - 1 - low)):
+        members = [low + 1 + i for i in range(n - 1 - low) if high >> i & 1]
+        first = 0 if members else 1  # the first set of all is the empty set
+        yield from _block_windows(
+            low_translates[:, first:] | np.bitwise_or.reduce(bits[:, members], axis=1)[:, None],
+            low_inverses[first:] | np.bitwise_or.reduce(inverse_bits[members]),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Family enumeration and the harness driver
 
 
@@ -567,18 +664,29 @@ class FamilyRun:
 def _summarize(
     instances: list[list[VerificationReport]], girth_scans: list[GirthScanResult]
 ) -> dict:
-    """Totals over the reports, grouped by the instance they check."""
-    reports = [r for instance in instances for r in instance]
-    checks = sum(len(r.checks) for r in reports)
-    failures = sum(len(r.failures) for r in reports)
-    bugs = sum(len(r.failures) for r in reports if r.bug)
-    caveated = sum(1 for instance in instances if any(r.caveats for r in instance))
-    tight_instances = 0
-    for r in reports:
-        growth = [c for c in r.checks if c.claim == "ball-lower-bound" and c.index >= 1]
-        if growth and all(c.tight for c in growth) and growth[-1].index >= 2:
-            tight_instances += 1
-    tight_checks = sum(1 for r in reports for c in r.checks if c.tight and c.passed)
+    """Totals over the reports, grouped by the instance they check; each
+    report's checks are read in one pass."""
+    checks = failures = bugs = caveated = tight_checks = tight_instances = 0
+    for instance in instances:
+        caveated += any(r.caveats for r in instance)
+        for r in instance:
+            failed = 0
+            # a tight-growth report has only tight ball records of radius
+            # >= 1, and they reach radius 2
+            growth_tight, radius = True, 0
+            for c in r.checks:
+                if c.lhs < c.rhs:
+                    failed += 1
+                elif c.lhs == c.rhs:
+                    tight_checks += 1
+                if c.claim == "ball-lower-bound" and c.index >= 1:
+                    growth_tight = growth_tight and c.lhs == c.rhs
+                    radius = c.index
+            checks += len(r.checks)
+            failures += failed
+            if not r.caveats:  # violations on uncertified instances are caveats
+                bugs += failed
+            tight_instances += growth_tight and radius >= 2
     scan_subsets = sum(s.total_subsets for s in girth_scans)
     scan_failures = sum(len(s.failures) for s in girth_scans)
     return {
@@ -646,21 +754,33 @@ def run_family(
                         f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
                     )
             family_groups.append(group)
+        # the sphere (0) and ball (1) records, in report order
+        kinds = [kind for kind, claim in enumerate(("main", "growth")) if claim in per_subset]
+        shared: dict[tuple[int, tuple[int, ...]], tuple] = {}
         for group in family_groups:
             if "girth" in selected:
                 girth_scans.append(scan_girth_bound(group))
             if not per_subset:
                 continue
-            for gens in subsets_of(range(1, group.n)):
+            # left translations are automorphisms, so every base vertex has
+            # vertex 0's window and records
+            vertices = group.n if all_vertices else 1
+            windows = _window_sizes(group) if kinds else itertools.repeat(None)
+            for gens, sizes in zip(subsets_of(range(1, group.n)), windows):
                 descriptor = f"Cay({group.name},{list(gens)})"
                 info = {"group": group.name, "gens": list(gens)}
                 reports = []
-                if "main" in per_subset or "growth" in per_subset:
-                    rel, certificate = cayley_relation(group, gens)
-                    reports = _instance_reports(
-                        rel, certificate, descriptor, family, info, per_subset,
-                        all_vertices, bound_delta,
-                    )
+                if kinds:
+                    r = len(gens) + 1  # the degree of the reflexive closure
+                    records = shared.get((r, sizes))
+                    if records is None:
+                        records = shared[r, sizes] = _size_records(sizes, r, bound_delta)
+                    reports = [
+                        VerificationReport(
+                            family, descriptor, info, r, list(records[kind] * vertices)
+                        )
+                        for kind in kinds
+                    ]
                 if "zerosum" in per_subset:
                     report = VerificationReport(family, descriptor, info, len(gens))
                     try:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from relgrowth.cli import main
 from relgrowth.fileio import write_relation
 from relgrowth.theorems import GrowthProfile, subsets_of
 
-from conftest import relations
+from conftest import random_relation, relations
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -548,6 +549,115 @@ class TestGirthScanFailures:
         assert records == expected and len(records) == 1 + 1 + 3 + 3 + 9
 
 
+def reference_summarize(instances):
+    """The multi-pass summary that the one-pass `_summarize` replaced, kept
+    as its reference (for runs without a girth scan)."""
+    reports = [r for instance in instances for r in instance]
+    tight_instances = 0
+    for r in reports:
+        growth = [c for c in r.checks if c.claim == "ball-lower-bound" and c.index >= 1]
+        if growth and all(c.tight for c in growth) and growth[-1].index >= 2:
+            tight_instances += 1
+    return {
+        "instances": sum(1 for instance in instances if instance),
+        "checks": sum(len(r.checks) for r in reports),
+        "failures": sum(len(r.failures) for r in reports),
+        "bugs": sum(len(r.failures) for r in reports if r.bug),
+        "caveated_instances": sum(1 for i in instances if any(r.caveats for r in i)),
+        "tight_checks": sum(1 for r in reports for c in r.checks if c.tight and c.passed),
+        "tight_growth_instances": tight_instances,
+        "girth_scan_groups": 0,
+        "girth_scan_subsets": 0,
+        "girth_scan_tight_subsets": 0,
+    }
+
+
+# every group of order 2..12; the order-12 groups fill two walk blocks
+BALL_CORPUS = [g for g in catalog_up_to_order(12) if g.n >= 2]
+
+
+class TestBallWalk:
+    """The batched walk of the built-in families against the route it
+    replaced: one Cayley relation per generator set through
+    `_instance_reports`, with one growth profile per base vertex."""
+
+    @pytest.mark.parametrize("bound_delta", [-1, 0, 1])
+    @pytest.mark.parametrize("all_vertices", [False, True])
+    def test_reports_match_per_set_route(self, monkeypatch, all_vertices, bound_delta):
+        monkeypatch.setattr(theorems, "_family_groups", lambda family, params: BALL_CORPUS)
+        run = run_family(
+            "circulants", checks=("main", "growth"), all_vertices=all_vertices,
+            bound_delta=bound_delta,
+        )
+        expected = [
+            theorems._instance_reports(
+                *cayley_relation(group, gens, reflexive=False),
+                f"Cay({group.name},{list(gens)})", "circulants",
+                {"group": group.name, "gens": list(gens)}, ("main", "growth"),
+                all_vertices, bound_delta,
+            )
+            for group in BALL_CORPUS
+            for gens in subsets_of(range(1, group.n))
+        ]
+        assert run.reports == [r for instance in expected for r in instance]
+        assert run.summary == reference_summarize(expected)
+        assert (run.summary["failures"] > 0) == (bound_delta == 1)
+
+    def test_window_ends_at_girth_minus_two(self):
+        # the walk ends each window by the hypothesis, not from the girth;
+        # the reduction to the ball bound says where that must be
+        for group in BALL_CORPUS:
+            windows = theorems._window_sizes(group)
+            for gens, sizes in zip(subsets_of(range(1, group.n)), windows, strict=True):
+                girth = len(theorems._shortest_return(group, gens))
+                assert len(sizes) - 1 == girth - 2, (group.name, gens)
+
+    def test_kernel_is_growth_profile_at_vertex_zero(self):
+        # the kernel reads any reflexive relations, given as each vertex's
+        # successor mask and the reverse image of 0; sparse random ones
+        # reach the stable ball that no Cayley set with S nonempty reaches
+        rng = random.Random(14)
+        rels = [random_relation(rng, 7, (0.1, 0.2, 0.4)[i % 3]).reflexive_closure()
+                for i in range(300)]
+        rels.append(Relation.identity(7))
+        translates = np.array([rel.succ for rel in rels], dtype=np.uint64).T
+        inverses = np.array([rel.reverse().succ[0] for rel in rels], dtype=np.uint64)
+        expected = [tuple(b.bit_count() for b in growth_profile(rel, 0).balls) for rel in rels]
+        assert theorems._block_windows(translates, inverses) == expected
+        assert expected[-1] == (1,) * 8
+        assert any(len(sizes) == 8 and sizes[-1] > 1 for sizes in expected)
+
+    def test_blocks_bound_the_arrays(self, monkeypatch):
+        shapes = []
+        kernel = theorems._block_windows
+        monkeypatch.setattr(theorems, "_block_windows",
+                            lambda t, inv: shapes.append(t.shape) or kernel(t, inv))
+        assert sum(1 for _ in theorems._window_sizes(cyclic(14))) == 2**13 - 1
+        assert shapes == [(14, 2**10 - 1)] + [(14, 2**10)] * 7
+
+
+def test_summary_matches_reference_on_crafted_reports():
+    # records no valid instance gives: a loose ball then a tight one, and
+    # failures with and without a caveat
+    ball, sphere = "ball-lower-bound", "sphere-lower-bound"
+
+    def report(records, caveats=()):
+        checks = [theorems.CheckRecord(*c) for c in records]
+        return theorems.VerificationReport("f", "x", {}, 2, checks, caveats=caveats)
+
+    instances = [
+        [report([(ball, 0, 1, 1), (ball, 1, 3, 3), (ball, 2, 6, 5), (ball, 3, 7, 7)])],
+        [report([(ball, 0, 1, 1), (ball, 1, 3, 3), (ball, 2, 5, 5)]),
+         report([(sphere, 1, 1, 2), (sphere, 2, 2, 2)])],
+        [report([(ball, 1, 3, 3)]),
+         report([(sphere, 1, 0, 1)], caveats=("uncertified-transitivity",))],
+        [],
+    ]
+    summary = theorems._summarize(instances, [])
+    assert summary == reference_summarize(instances)
+    assert (summary["bugs"], summary["failures"], summary["tight_growth_instances"]) == (1, 2, 1)
+
+
 class TestRunFamily:
     def test_circulants_clean(self):
         run = run_family("circulants", max_n=6)
@@ -638,8 +748,20 @@ class TestRunFamily:
             raise AssertionError("a girth-only run walked generator subsets")
 
         monkeypatch.setattr(theorems, "subsets_of", refuse)
+        monkeypatch.setattr(theorems, "_window_sizes", refuse)
         run = run_family("circulants", max_n=8, checks=("girth",))
         assert run.ok and run.summary["instances"] == 0
+        assert run.summary["girth_scan_subsets"] == 247
+
+    @pytest.mark.parametrize("all_vertices", [False, True])
+    def test_family_run_builds_no_relation_per_set(self, monkeypatch, all_vertices):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family run built a relation for a generator set")
+
+        monkeypatch.setattr(theorems, "cayley_relation", refuse)
+        monkeypatch.setattr(theorems, "growth_profile", refuse)
+        run = run_family("circulants", max_n=8, all_vertices=all_vertices)
+        assert run.ok and run.summary["instances"] == 247
         assert run.summary["girth_scan_subsets"] == 247
 
     def test_determinism(self):

@@ -19,8 +19,12 @@ def load_tracing() -> types.ModuleType:
     return module
 
 
-def test_tracer_wraps_and_restores_every_name(capsys):
+def test_tracer_wraps_and_restores_every_name(capsys, tmp_path):
     tracing = load_tracing()
+    # built-in families walk no Relation, so the one-step image is counted
+    # through a command that reads a relation file
+    path = tmp_path / "c5.rel"
+    path.write_text("5\n" + "".join(f"{v} {(v + 1) % 5}\n" for v in range(5)))
     places = [
         place
         for table in (tracing.SPANNED, tracing.COUNTED)
@@ -33,9 +37,10 @@ def test_tracer_wraps_and_restores_every_name(capsys):
     try:
         assert all(getattr(o, a) is not f for (o, a), f in zip(places, originals))
         assert tracing.cli.main(["verify", "circulants", "--max-n", "4"]) == 0
+        assert tracing.cli.main(["spheres", str(path), "--j-max", "3"]) == 0
     finally:
         tracer.uninstall()
     assert all(getattr(o, a) is f for (o, a), f in zip(places, originals))
     calls = tracer.calls()
-    assert calls["cli.main"] == calls["theorems.run_family"] == 1
+    assert calls["cli.main"] == 2 and calls["theorems.run_family"] == 1
     assert calls["theorems.scan_girth_bound"] == 3 and calls["relation.image"] > 0
