@@ -9,10 +9,7 @@ All the bounds follow from one sphere bound, and each quantity has one
 route.  `growth_profile` walks the balls around a vertex once, to the end
 of the hypothesis window, and the sphere, ball and girth-window records are
 read from it.  `_shortest_return` is the one search for a shortest product
-equal to the identity, and its sequence is the zero-product witness.  The
-girth scan of a whole group runs one batched breadth-first search over all
-its inverse-free generator sets (`_block_girths`), and `_shortest_return`
-is that search's test oracle: their lengths agree set by set.
+equal to the identity, and its sequence is the zero-product witness.
 
 `_size_records` is the one source of sphere and ball records: it reads
 them off the ball sizes of a hypothesis window.  `_instance_reports` builds
@@ -20,11 +17,17 @@ the records of one relation; it makes the reflexive closure once and walks
 each base vertex once.  `run_family` sends every relation file through it,
 and `check_main_theorem`, `check_ball_growth` and `check_girth_bound` are
 fronts for a single relation: each checks its preconditions, then returns
-the core's one report.  The generator sets of a built-in family build no
-relation: one batched walk per group (`_block_windows`) gives the window's
-ball sizes around the identity of every reflexive Cay(G, S + {e}), and left
+the core's one report.
+
+The generator sets of a group build no relation: one batched walk per
+group (`_walk`, over the one kernel `_block_windows`) gives the hypothesis
+window around the identity of every reflexive Cay(G, S + {e}).  The sphere
+and ball checks of a built-in family read its ball sizes, and left
 translations, being automorphisms, give every other base vertex the same
-records.
+records.  The girth bound reduces to the ball bound: adjoin every loop,
+and the window ends at g - 2.  So the girth scan reads each inverse-free
+set's girth off the same walk, as the window end plus 2, and
+`_shortest_return` is its test oracle: the girths agree set by set.
 """
 
 from __future__ import annotations
@@ -385,14 +388,112 @@ def check_lemma_powers(rel: Relation, i: int) -> LemmaPowersReport:
 
 
 # ---------------------------------------------------------------------------
-# Whole-group girth scan
+# Whole-group walks
 
 # generator sets one family run, or one girth scan, may enumerate
 MAX_ENUMERATED_INSTANCES = 200_000
-# a girth-scan block holds the 3^_BLOCK_PAIRS = 729 inverse-free generator
-# sets that differ only in the last _BLOCK_PAIRS inverse pairs, so the
-# scan's arrays are O(729 n) words, however many sets the group has
-_BLOCK_PAIRS = 6
+# a block holds at most _BLOCK_SETS generator sets, those that differ only in
+# their low digits: 3^6 = 729 for the girth scan's inverse pairs, 2^10 for the
+# ball walk's elements, so a walk's arrays are O(1024 n) words however many
+# sets the group has
+_BLOCK_SETS = 1024
+
+
+def _block_image(sets: np.ndarray, translates: np.ndarray) -> np.ndarray:
+    """Column b's image: the OR of the translates translates[g, b] over the
+    elements g of sets[b], one layer of a batched walk."""
+    # only the elements of some set pick out a translate
+    present = int(np.bitwise_or.reduce(sets))
+    rows = [g for g in range(len(translates)) if present >> g & 1]
+    picked = sets >> np.array(rows, dtype=np.uint64)[:, None]
+    picked &= 1
+    picked *= translates[rows]
+    return np.bitwise_or.reduce(picked, axis=0)
+
+
+def _block_windows(
+    translates: np.ndarray,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The hypothesis windows around the identity of a block of reflexive
+    Cayley relations of one group, by one walk over all of them at once.
+
+    Column b describes T_b = S_b + {e}: for g < n, translates[g, b] is the
+    bitmask of the left translate g T_b, and row n holds T_b^-1, the
+    reverse image of the identity.  The 1-ball is T_b itself, and each
+    later ball is the OR of the translates that the previous ball's bits
+    pick out.  As in `growth_profile`, a window ends before the first ball
+    that meets T_b^-1 outside the identity, else at n; closed columns drop
+    out.  Returns each column's window end, `growth_profile(Cay(G, T_b),
+    e).max_j`, and per radius j >= 1 the open columns and their j-balls.
+    Any reflexive relations given the same way, by each vertex's successors
+    and the reverse image of vertex 0, walk alike from 0.
+    """
+    n, count = translates.shape[0] - 1, translates.shape[1]
+    ends = np.full(count, n)
+    columns = np.arange(count)
+    ball = translates[0]
+    layers = []
+    for j in range(1, n + 1):
+        if j > 1:
+            ball = _block_image(ball, translates)
+        closed = (ball & translates[n]) != 1
+        if closed.any():
+            ends[columns[closed]] = j - 1
+            keep = ~closed
+            if not keep.any():
+                break
+            columns, translates, ball = columns[keep], translates[:, keep], ball[keep]
+        layers.append((columns, ball))
+    return ends, layers
+
+
+def _walk(
+    group: FiniteGroup, choices: list[tuple[int, ...]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+    """One batched walk over the nonempty generator sets S of a group whose
+    digit i picks nothing or one element of choices[i], digit 0 the least
+    significant: per block, the S masks and `_block_windows` of the
+    reflexive Cay(G, S + {e}).
+
+    The low digits, as many as fit _BLOCK_SETS sets, are built once; a
+    block ORs their translates with those of its shared high members.
+    """
+    n = group.n
+    # row g < n, column t: 1 << g t, a bit of the left translate g T;
+    # row n, column t: 1 << t^-1, a bit of T^-1
+    bits = np.left_shift(
+        1, np.array([*group.table, [group.inverse(t) for t in range(n)]], dtype=np.uint64)
+    )
+    width, sets = 0, 1
+    while width < len(choices) and sets * (len(choices[width]) + 1) <= _BLOCK_SETS:
+        sets *= len(choices[width]) + 1
+        width += 1
+    low = bits[:, :1]  # T = {e}
+    for choice in choices[:width]:
+        low = np.hstack([low, *(low | bits[:, c, None] for c in choice)])
+    high = choices[width:][::-1]  # most significant first, as itertools.product counts
+    for digits in itertools.product(*(range(len(c) + 1) for c in high)):
+        members = [c[d - 1] for c, d in zip(high, digits) if d]
+        first = 0 if members else 1  # the first set of all is the empty set
+        translates = low[:, first:] | np.bitwise_or.reduce(bits[:, members], axis=1)[:, None]
+        yield (translates[0] ^ 1, *_block_windows(translates))
+
+
+def _ball_sizes(ends: np.ndarray, layers: list) -> list[tuple[int, ...]]:
+    """Each column's ball sizes |B_0|, ..., |B_end| from `_block_windows`."""
+    sizes = np.ones((len(layers) + 1, len(ends)), dtype=np.int64)
+    for j, (columns, balls) in enumerate(layers, 1):
+        sizes[j, columns] = np.bitwise_count(balls)
+    return [tuple(s[: end + 1]) for s, end in zip(sizes.T.tolist(), ends.tolist())]
+
+
+def _window_sizes(group: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The hypothesis-window ball sizes around the identity of every
+    reflexive Cay(G, S + {e}), S a nonempty subset of G - {e}, in
+    `subsets_of(range(1, n))` order.  A family run holds at most 200 000
+    sets, so n <= 18 and a set fits one 64-bit word."""
+    for _, ends, layers in _walk(group, [(s,) for s in range(1, group.n)]):
+        yield from _ball_sizes(ends, layers)
 
 
 @dataclass(slots=True)
@@ -402,9 +503,10 @@ class GirthScanResult:
 
     Subsets containing an inverse pair (or an involution) have girth 2, where
     the bound 1 + r reduces to r <= n - 1 and holds for every subset; they
-    are verified as one aggregate class.  The girths of the remaining,
-    inverse-free subsets come from one batched breadth-first search per
-    block of subsets (`_block_girths`).
+    are verified as one aggregate class.  The remaining, inverse-free
+    subsets go through the ball walk (`_walk`): with every loop adjoined,
+    the window around the identity ends at g - 2, so each girth is read off
+    as the window end plus 2.
     """
 
     group: str
@@ -441,49 +543,6 @@ def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     return pairs
 
 
-def _block_image(sets: np.ndarray, translates: np.ndarray) -> np.ndarray:
-    """Column b's image: the OR of the translates translates[g, b] over the
-    elements g of sets[b], one layer of a batched walk."""
-    # only the elements of some set pick out a translate
-    present = int(np.bitwise_or.reduce(sets))
-    rows = [g for g in range(len(translates)) if present >> g & 1]
-    picked = sets >> np.array(rows, dtype=np.uint64)[:, None]
-    picked &= 1
-    picked *= translates[rows]
-    return np.bitwise_or.reduce(picked, axis=0)
-
-
-def _block_girths(translates: np.ndarray) -> np.ndarray:
-    """The girths of a block of loopless Cayley relations of one group, by
-    one breadth-first search from the identity over all of them at once.
-
-    Column b describes set S_b: translates[g, b] is the bitmask of the left
-    translate g S_b.  A layer's image is the OR of the translates that its
-    frontier's bits pick out; a set's girth is the first layer whose image
-    holds the identity (bit 0), and finished sets drop out.  Each girth
-    equals `len(_shortest_return(group, S_b))`.
-    """
-    n, count = translates.shape
-    girths = np.zeros(count, dtype=np.int64)
-    columns = np.arange(count)
-    frontier = translates[0].copy()  # layer 1's image, S itself, lacks the identity
-    reached = frontier | 1
-    for layer in range(2, n + 1):  # a girth is at most any generator's order
-        image = _block_image(frontier, translates)
-        done = (image & 1).astype(bool)
-        finished = np.count_nonzero(done)
-        if finished:
-            girths[columns[done]] = layer
-            if finished == len(columns):
-                return girths
-            keep = ~done
-            columns, translates = columns[keep], translates[:, keep]
-            image, reached = image[keep], reached[keep]
-        frontier = image & ~reached
-        reached |= image
-    raise BugError(f"identity unreachable over {len(columns)} generator sets")
-
-
 def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     n = group.n
     total = (1 << (n - 1)) - 1 if n > 1 else 0
@@ -497,31 +556,18 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
         tight += 1
     if not pairs:
         return GirthScanResult(group.name, n, total, total, 0, tight, failures)
-    # The sets come in itertools.product((0, 1, 2), repeat=len(pairs))
-    # order: pair (a, b)'s digit picks neither, a or b.  A block is the
-    # 3^_BLOCK_PAIRS sets that share the digits of all but the last pairs;
-    # their left translates are those of the last pairs' choices (built
-    # once) ORed with those of the block's shared members.
-    bits = np.left_shift(1, np.asarray(group.table, dtype=np.uint64))  # 1 << g*h
-    split = max(0, len(pairs) - _BLOCK_PAIRS)
-    width = len(pairs) - split
-    low = np.arange(3**width)[:, None] // 3 ** np.arange(width - 1, -1, -1) % 3
-    low_translates = np.zeros((n, len(low)), dtype=np.uint64)
-    none = np.zeros(n, dtype=np.uint64)
-    for (a, b), column in zip(pairs[split:], low.T):
-        low_translates |= np.stack([none, bits[:, a], bits[:, b]], axis=1)[:, column]
-    low_r = np.count_nonzero(low, axis=1)
-    for high in itertools.product((0, 1, 2), repeat=split):
-        members = [pair[d - 1] for pair, d in zip(pairs, high) if d]
-        first = 0 if members else 1  # the first set of all is the empty set
-        shared = np.bitwise_or.reduce(bits[:, members], axis=1)
-        r = low_r[first:] + len(members)
-        girths = _block_girths(low_translates[:, first:] | shared[:, None])
-        rhs = 1 + r * (girths - 1)
+    # pair (a, b)'s digit picks neither, a or b; the last pair is the least
+    # significant digit, so the sets come in
+    # itertools.product((0, 1, 2), repeat=len(pairs)) order
+    for masks, ends, layers in _walk(group, pairs[::-1]):
+        if len(layers) == n:  # some window never closed, where g - 2 < n must
+            raise BugError(f"identity unreachable over {len(layers[-1][0])} generator sets")
+        girths = ends + 2
+        rhs = 1 + np.bitwise_count(masks) * (girths - 1)
         tight += int(np.count_nonzero(rhs == n))
         for i in np.flatnonzero(rhs > n).tolist():
-            digits = high + tuple(low[first + i].tolist())
-            gens = sorted(pair[d - 1] for pair, d in zip(pairs, digits) if d)
+            mask = int(masks[i])
+            gens = [s for s in range(1, n) if mask >> s & 1]
             g = int(girths[i])
             report = VerificationReport(
                 "girth-scan",
@@ -534,81 +580,6 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     return GirthScanResult(
         group.name, n, total, total - inverse_free, inverse_free, tight, failures
     )
-
-
-# ---------------------------------------------------------------------------
-# Whole-group ball walk
-
-# a ball-walk block holds the 2^_BLOCK_BITS generator sets that share their
-# members above element _BLOCK_BITS, so the walk's arrays are O(1024 n)
-# words, however many sets the group has
-_BLOCK_BITS = 10
-
-
-def _block_windows(translates: np.ndarray, inverses: np.ndarray) -> list[tuple[int, ...]]:
-    """The ball sizes in the hypothesis window around the identity of a
-    block of reflexive Cayley relations of one group, by one walk over all
-    of them at once.
-
-    Column b describes T_b = S_b + {e}: translates[g, b] is the bitmask of
-    the left translate g T_b, and inverses[b] that of T_b^-1, the reverse
-    image of the identity.  A layer's ball is the OR of the translates that
-    the previous ball's bits pick out.  As in `growth_profile`, a window
-    ends before the first ball that meets T_b^-1 outside the identity, or
-    runs to n once a ball stops growing, and finished columns drop out.
-    Entry b is the popcounts of `growth_profile(Cay(G, T_b), e).balls`.
-    Any reflexive relations given the same way, by each vertex's
-    successors and the reverse image of vertex 0, walk alike from 0.
-    """
-    n, count = translates.shape
-    sizes = np.ones((n + 1, count), dtype=np.int64)
-    ends = np.full(count, n)
-    columns = np.arange(count)
-    ball = np.ones(count, dtype=np.uint64)
-    for j in range(1, n + 1):
-        image = _block_image(ball, translates)
-        counts = np.bitwise_count(image)
-        sizes[j, columns] = counts
-        closed = (image & inverses) != 1
-        stable = ~closed & (image == ball)  # the window stays open for good
-        ends[columns[closed]] = j - 1
-        sizes[j + 1 :, columns[stable]] = counts[stable]
-        keep = ~(closed | stable)
-        if not keep.any():
-            break
-        columns, translates, inverses = columns[keep], translates[:, keep], inverses[keep]
-        ball = image[keep]
-    return [tuple(s[: end + 1]) for s, end in zip(sizes.T.tolist(), ends.tolist())]
-
-
-def _window_sizes(group: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """The hypothesis-window ball sizes around the identity of every
-    reflexive Cay(G, S + {e}), S a nonempty subset of G - {e}, in
-    `subsets_of(range(1, n))` order.
-
-    A block is the sets that share their members above element
-    _BLOCK_BITS; their translates are those of the low members' choices
-    (built once) ORed with those of the shared high members.  A family run
-    holds at most 200 000 sets, so n <= 18 and a set fits one 64-bit word.
-    """
-    n = group.n
-    bits = np.left_shift(1, np.asarray(group.table, dtype=np.uint64))  # 1 << g*h
-    inverse_bits = np.left_shift(
-        1, np.array([group.inverse(g) for g in range(n)], dtype=np.uint64)
-    )
-    low = min(n - 1, _BLOCK_BITS)
-    # column L holds element s iff bit s - 1 of L is set, as in subsets_of
-    low_translates, low_inverses = bits[:, :1], inverse_bits[:1]  # T = {e}
-    for s in range(1, low + 1):
-        low_translates = np.hstack([low_translates, low_translates | bits[:, s, None]])
-        low_inverses = np.concatenate([low_inverses, low_inverses | inverse_bits[s]])
-    for high in range(1 << (n - 1 - low)):
-        members = [low + 1 + i for i in range(n - 1 - low) if high >> i & 1]
-        first = 0 if members else 1  # the first set of all is the empty set
-        yield from _block_windows(
-            low_translates[:, first:] | np.bitwise_or.reduce(bits[:, members], axis=1)[:, None],
-            low_inverses[first:] | np.bitwise_or.reduce(inverse_bits[members]),
-        )
 
 
 # ---------------------------------------------------------------------------

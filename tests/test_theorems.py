@@ -444,35 +444,38 @@ class TestGirthScan:
 
     @pytest.mark.parametrize("group", SCAN_CORPUS, ids=lambda g: g.name)
     def test_batched_matches_reference(self, group, monkeypatch):
-        # every field equals the per-set reference's, and every set's batched
-        # girth is its shortest return; the kernel sees each set exactly once
+        # every field equals the per-set reference's, and every set's window
+        # end plus 2 is its shortest return; the kernel sees each set once
         seen = []
-        kernel = theorems._block_girths
+        kernel = theorems._block_windows
 
         def recorded(translates):
-            girths = kernel(translates)
-            seen.extend(zip(translates[0].tolist(), girths.tolist()))
-            return girths
+            ends, layers = kernel(translates)
+            seen.extend(zip(translates[0].tolist(), (ends + 2).tolist()))
+            return ends, layers
 
-        monkeypatch.setattr(theorems, "_block_girths", recorded)
+        monkeypatch.setattr(theorems, "_block_windows", recorded)
         assert scan_girth_bound(group) == reference_scan_girth_bound(group)
         assert len({mask for mask, _ in seen}) == len(seen) == 3 ** len(
             theorems._inverse_pairs(group)) - 1
-        for mask, girth in seen:  # the translate of the identity is S itself
-            assert girth == len(theorems._shortest_return(group, members(mask))), mask
+        for mask, girth in seen:  # the translate of the identity is S + {e}
+            assert girth == len(theorems._shortest_return(group, members(mask ^ 1))), mask
 
     def test_corpus_reaches_bit_63_and_block_boundaries(self, monkeypatch):
         calls = []
-        kernel = theorems._block_girths
-        monkeypatch.setattr(theorems, "_block_girths",
+        kernel = theorems._block_windows
+        monkeypatch.setattr(theorems, "_block_windows",
                             lambda translates: calls.append(translates) or kernel(translates))
         scan_girth_bound(ORDER_64)
         assert ORDER_64.n == 64 and len(theorems._inverse_pairs(ORDER_64)) == 8
-        assert any(int(t.max()) >> 63 for t in calls)
+        assert any(int(t[:-1].max()) >> 63 for t in calls)
         calls.clear()
+        # a block holds the 3^6 choices of the last six of Z24's 11 pairs
+        assert 3 ** 6 <= theorems._BLOCK_SETS < 3 ** 7
         scan = scan_girth_bound(cyclic(24))
-        assert scan.scanned_subsets == 3 ** 11 - 1 > 3 ** theorems._BLOCK_PAIRS
-        assert len(calls) == 3 ** (11 - theorems._BLOCK_PAIRS)
+        assert scan.scanned_subsets == 3 ** 11 - 1 > 3 ** 6
+        assert len(calls) == 3 ** 5
+        assert [t.shape for t in calls[:2]] == [(25, 3 ** 6 - 1), (25, 3 ** 6)]
 
     def test_counts_partition(self):
         scan = scan_girth_bound(symmetric(3))
@@ -507,10 +510,12 @@ class TestGirthScan:
 
 
 def lengthened(kernel):
-    """The kernel with 5 added to the girth of every set holding element 1."""
-    def girths(translates):
-        return kernel(translates) + 5 * (translates[0] >> 1 & 1).astype(np.int64)
-    return girths
+    """The kernel with 5 added to the window end, so to the girth, of every
+    set holding element 1."""
+    def windows(translates):
+        ends, layers = kernel(translates)
+        return ends + 5 * (translates[0] >> 1 & 1).astype(np.int64), layers
+    return windows
 
 
 class TestGirthScanFailures:
@@ -518,7 +523,7 @@ class TestGirthScanFailures:
 
     def test_records_match_reference(self, monkeypatch):
         shortest = theorems._shortest_return
-        monkeypatch.setattr(theorems, "_block_girths", lengthened(theorems._block_girths))
+        monkeypatch.setattr(theorems, "_block_windows", lengthened(theorems._block_windows))
         scan = scan_girth_bound(cyclic(7))
         monkeypatch.setattr(theorems, "_shortest_return", lambda group, gens: shortest(
             group, gens) + [0] * (5 if 1 in gens else 0))
@@ -539,7 +544,7 @@ class TestGirthScanFailures:
         assert all(type(v) is int for v in values)
 
     def test_cli_exits_one_with_readable_report(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(theorems, "_block_girths", lengthened(theorems._block_girths))
+        monkeypatch.setattr(theorems, "_block_windows", lengthened(theorems._block_windows))
         path = tmp_path / "girth.ndjson"
         code = main(["verify", "circulants", "--max-n", "7", "--checks", "girth",
                      "--report", str(path)])
@@ -547,6 +552,22 @@ class TestGirthScanFailures:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         expected = [f.to_dict() for n in range(2, 8) for f in scan_girth_bound(cyclic(n)).failures]
         assert records == expected and len(records) == 1 + 1 + 3 + 3 + 9
+
+    def test_window_that_never_closes_is_a_bug(self, monkeypatch):
+        # a column whose T^-1 is only the identity never closes, as a set
+        # whose girth exceeds n would not: that is a fault, not a record
+        kernel = theorems._block_windows
+
+        def opened(translates):
+            translates = translates.copy()
+            translates[-1, 0] = 1
+            ends, layers = kernel(translates)
+            assert ends[0] == len(translates) - 1 and (ends[1:] < ends[0]).all()
+            return ends, layers
+
+        monkeypatch.setattr(theorems, "_block_windows", opened)
+        with pytest.raises(BugError, match="^identity unreachable over 1 generator sets$"):
+            scan_girth_bound(cyclic(7))
 
 
 def reference_summarize(instances):
@@ -623,7 +644,8 @@ class TestBallWalk:
         translates = np.array([rel.succ for rel in rels], dtype=np.uint64).T
         inverses = np.array([rel.reverse().succ[0] for rel in rels], dtype=np.uint64)
         expected = [tuple(b.bit_count() for b in growth_profile(rel, 0).balls) for rel in rels]
-        assert theorems._block_windows(translates, inverses) == expected
+        table = np.vstack([translates, inverses])
+        assert theorems._ball_sizes(*theorems._block_windows(table)) == expected
         assert expected[-1] == (1,) * 8
         assert any(len(sizes) == 8 and sizes[-1] > 1 for sizes in expected)
 
@@ -631,9 +653,10 @@ class TestBallWalk:
         shapes = []
         kernel = theorems._block_windows
         monkeypatch.setattr(theorems, "_block_windows",
-                            lambda t, inv: shapes.append(t.shape) or kernel(t, inv))
+                            lambda t: shapes.append(t.shape) or kernel(t))
         assert sum(1 for _ in theorems._window_sizes(cyclic(14))) == 2**13 - 1
-        assert shapes == [(14, 2**10 - 1)] + [(14, 2**10)] * 7
+        # 14 translate rows and the row of T^-1, 2^10 sets to a block
+        assert shapes == [(15, 2**10 - 1)] + [(15, 2**10)] * 7
 
 
 def test_summary_matches_reference_on_crafted_reports():
