@@ -19,14 +19,14 @@ and `check_main_theorem`, `check_ball_growth` and `check_girth_bound` are
 fronts for a single relation: each checks its preconditions, then returns
 the core's one report.
 
-The generator sets of a group build no relation: one batched walk per
-group (`_walk`, over the one kernel `_block_windows`) gives the hypothesis
-window around the identity of every reflexive Cay(G, S + {e}).  The sphere
-and ball checks of a built-in family read its ball sizes, and left
-translations, being automorphisms, give every other base vertex the same
-records.  The girth bound reduces to the ball bound: adjoin every loop,
-and the window ends at g - 2.  So the girth scan reads each inverse-free
-set's girth off the same walk, as the window end plus 2, and
+The generator sets of a group build no relation: one batched walk per group
+(`_walk`, over the one kernel `_block_windows`) takes each S as a 64-bit
+mask to the hypothesis window around e of Cay(G, S + {e}).  A family run
+reads each set's members off its mask and its records off its ball sizes;
+left translations, being automorphisms, give every other base vertex the
+same records.  The girth bound reduces to the ball bound: adjoin every
+loop, and the window ends at g - 2.  So the girth scan reads each
+inverse-free set's girth off the same walk, as the window end plus 2, and
 `_shortest_return` is its test oracle: the girths agree set by set.
 """
 
@@ -487,13 +487,19 @@ def _ball_sizes(ends: np.ndarray, layers: list) -> list[tuple[int, ...]]:
     return [tuple(s[: end + 1]) for s, end in zip(sizes.T.tolist(), ends.tolist())]
 
 
-def _window_sizes(group: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """The hypothesis-window ball sizes around the identity of every
-    reflexive Cay(G, S + {e}), S a nonempty subset of G - {e}, in
-    `subsets_of(range(1, n))` order.  A family run holds at most 200 000
-    sets, so n <= 18 and a set fits one 64-bit word."""
-    for _, ends, layers in _walk(group, [(s,) for s in range(1, group.n)]):
-        yield from _ball_sizes(ends, layers)
+def _members(masks: np.ndarray, n: int) -> list[list[int]]:
+    """Each set's ascending members: the set bits of its mask."""
+    bits = np.nonzero(masks[:, None] >> np.arange(n, dtype=np.uint64) & 1)[1].tolist()
+    stops = list(itertools.accumulate(np.bitwise_count(masks).tolist()))
+    return [bits[a:b] for a, b in zip([0, *stops], stops)]
+
+
+def _window_sizes(group: FiniteGroup) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """Every nonempty S in G - {e}, as its members read off its walk mask,
+    with the hypothesis-window ball sizes around e in the reflexive
+    Cay(G, S + {e}).  A family run has at most 200 000 sets, so n <= 18."""
+    for masks, ends, layers in _walk(group, [(s,) for s in range(1, group.n)]):
+        yield from zip(_members(masks, group.n), _ball_sizes(ends, layers))
 
 
 @dataclass(slots=True)
@@ -566,8 +572,7 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
         rhs = 1 + np.bitwise_count(masks) * (girths - 1)
         tight += int(np.count_nonzero(rhs == n))
         for i in np.flatnonzero(rhs > n).tolist():
-            mask = int(masks[i])
-            gens = [s for s in range(1, n) if mask >> s & 1]
+            (gens,) = _members(masks[[i]], n)
             g = int(girths[i])
             report = VerificationReport(
                 "girth-scan",
@@ -736,22 +741,17 @@ def run_family(
             # left translations are automorphisms, so every base vertex has
             # vertex 0's window and records
             vertices = group.n if all_vertices else 1
-            windows = _window_sizes(group) if kinds else itertools.repeat(None)
-            for gens, sizes in zip(subsets_of(range(1, group.n)), windows):
-                descriptor = f"Cay({group.name},{list(gens)})"
-                info = {"group": group.name, "gens": list(gens)}
-                reports = []
-                if kinds:
-                    r = len(gens) + 1  # the degree of the reflexive closure
-                    records = shared.get((r, sizes))
-                    if records is None:
-                        records = shared[r, sizes] = _size_records(sizes, r, bound_delta)
-                    reports = [
-                        VerificationReport(
-                            family, descriptor, info, r, list(records[kind] * vertices)
-                        )
-                        for kind in kinds
-                    ]
+            for gens, sizes in _window_sizes(group):
+                descriptor = f"Cay({group.name},{gens})"
+                info = {"group": group.name, "gens": gens}
+                r = len(gens) + 1  # the degree of the reflexive closure
+                records = shared.get((r, sizes))
+                if records is None:
+                    records = shared[r, sizes] = _size_records(sizes, r, bound_delta)
+                reports = [
+                    VerificationReport(family, descriptor, info, r, list(records[kind] * vertices))
+                    for kind in kinds
+                ]
                 if "zerosum" in per_subset:
                     report = VerificationReport(family, descriptor, info, len(gens))
                     try:

@@ -24,6 +24,17 @@ def oracle_corpus():
         yield random_relation(rng, rng.randrange(2, 11), p)
 
 
+# regular, strongly connected relations that are not point-transitive and
+# whose reflexive closure breaks the sphere bound inside the hypothesis
+# window: transitivity is needed, regularity is not enough.  On this one
+# (in- and out-degree 2, r = 3 once closed) the balls around vertex 0 are
+# 1, 3, 4, so the 2-sphere has 1 element against r - 1 = 2.
+SHARPNESS_CORPUS = [
+    Relation.from_edges(6, [(0, 3), (0, 5), (1, 0), (1, 4), (2, 1), (2, 4),
+                            (3, 2), (3, 5), (4, 0), (4, 1), (5, 2), (5, 3)]),
+]
+
+
 @st.composite
 def relations(draw, min_n=1, max_n=8):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -20,10 +20,13 @@ from relgrowth import (
     dihedral,
     direct_product,
     fileio,
+    is_point_transitive_brute,
     theorems,
 )
 from relgrowth.cli import main
 from relgrowth.fileio import write_group, write_relation, write_subset
+
+from conftest import SHARPNESS_CORPUS
 
 
 @pytest.fixture
@@ -216,6 +219,8 @@ class TestVerifyCommand:
             main(["verify", "quaternions"])
 
     def test_from_files_nontransitive_warns_not_fails(self, tmp_path, capsys):
+        # not regular, so each check is an empty caveated report and no
+        # failure is printed
         path = tmp_path / "nt.rel"
         write_relation(
             path,
@@ -223,7 +228,28 @@ class TestVerifyCommand:
         )
         code = main(["verify", "from_files", "--files", str(path)])
         assert code == 0
-        assert "caveated" in capsys.readouterr().out
+        assert capsys.readouterr().out == verify_summary(
+            "from_files {}", instances=1, checks=0, failures=0, caveated_instances=1,
+            tight_checks=0,
+        )
+
+    def test_from_files_sharpness_counterexample_caveated(self, tmp_path, capsys):
+        # regular but not point-transitive: the sphere and the ball bound
+        # both fail at radius 2, and each failed report prints one caveat
+        (rel,) = SHARPNESS_CORPUS
+        closure = rel.reflexive_closure()
+        assert rel.regular_degree() == rel.reverse().regular_degree() == 2
+        assert all(len(closure.ball(v, rel.n)) == rel.n for v in range(rel.n))
+        assert not is_point_transitive_brute(rel)
+        path = tmp_path / "sharp6.rel"
+        write_relation(path, rel)
+        code = main(["verify", "from_files", "--files", str(path)])
+        assert code == 0
+        caveat = f"  caveated: {path} (uncertified-transitivity)\n"
+        assert capsys.readouterr().out == verify_summary(
+            "from_files {}", instances=1, checks=6, failures=2, caveated_instances=1,
+            tight_checks=3,
+        ) + 2 * caveat
 
     @pytest.mark.parametrize("mode", [[], ["--all-vertices"], ["--checks", "girth"]])
     def test_from_files_zero_vertices(self, tmp_path, capsys, mode):
@@ -236,6 +262,15 @@ class TestVerifyCommand:
         assert all(r["r"] == 0 and r["checks"] == [] for r in records)
         assert records[-1]["caveats"] == ["acyclic"]
         assert all(r["caveats"] == [] for r in records[:-1])
+
+
+def verify_summary(family: str, **counts: int) -> str:
+    """The stdout of a `verify` run up to its caveat lines; summary keys
+    not given are 0."""
+    keys = ("instances", "checks", "failures", "bugs", "caveated_instances", "tight_checks",
+            "tight_growth_instances", "girth_scan_groups", "girth_scan_subsets",
+            "girth_scan_tight_subsets")
+    return f"family: {family}\n" + "".join(f"  {k}: {counts.get(k, 0)}\n" for k in keys)
 
 
 def run_quietly(argv: list[str]) -> tuple[int, str, str]:
@@ -261,6 +296,46 @@ class TestRelationFileLimits:
         code, out, err = run_quietly([*command, str(path)])
         assert code == 2 and out == ""
         assert err == f"error: {path}:1: vertex count {count} exceeds {fileio.MAX_VERTICES}\n"
+
+
+class TestRefusalsBeforeOutput:
+    """Each refusal exits 2 with one error line and prints nothing first;
+    `spheres` checks its vertex before the table header, where
+    `Relation.ball` would refuse only after it."""
+
+    @pytest.mark.parametrize("vertex", [7, -1])
+    def test_spheres_vertex_out_of_range(self, tmp_path, cycle5, vertex):
+        path = tmp_path / "c5.rel"
+        write_relation(path, cycle5)
+        assert run_quietly(["spheres", str(path), "-v", str(vertex)]) == (
+            2, "", f"error: vertex {vertex} out of range for n=5\n"
+        )
+
+    def test_spheres_zero_vertices(self, tmp_path):
+        path = tmp_path / "zero.rel"
+        path.write_text("0\n")
+        assert run_quietly(["spheres", str(path)]) == (
+            2, "", "error: vertex 0 out of range for n=0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["spheres", "kappa", "girth"])
+    def test_comment_only_relation(self, tmp_path, command):
+        path = tmp_path / "comment.rel"
+        path.write_text("# no header\n")
+        assert run_quietly([command, str(path)]) == (
+            2, "", f"error: {path}:1: missing vertex count\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, error", [("# no header\n", "{path}:1: missing group order"), ("0\n", "EmptyTable")]
+    )
+    def test_zerosum_group_without_elements(self, tmp_path, text, error):
+        path, subset = tmp_path / "g.grp", tmp_path / "s.sub"
+        path.write_text(text)
+        subset.write_text("1\n")
+        assert run_quietly(["zerosum", str(path), str(subset)]) == (
+            2, "", f"error: {error.format(path=path)}\n"
+        )
 
 
 class TestZerosumCommand:

@@ -626,10 +626,12 @@ class TestBallWalk:
 
     def test_window_ends_at_girth_minus_two(self):
         # the walk ends each window by the hypothesis, not from the girth;
-        # the reduction to the ball bound says where that must be
+        # the reduction to the ball bound says where that must be; the
+        # members read off the walk's masks come in `subsets_of` order
         for group in BALL_CORPUS:
-            windows = theorems._window_sizes(group)
-            for gens, sizes in zip(subsets_of(range(1, group.n)), windows, strict=True):
+            windows = list(theorems._window_sizes(group))
+            assert [tuple(gens) for gens, _ in windows] == list(subsets_of(range(1, group.n)))
+            for gens, sizes in windows:
                 girth = len(theorems._shortest_return(group, gens))
                 assert len(sizes) - 1 == girth - 2, (group.name, gens)
 
