@@ -4,15 +4,22 @@
 blank lines are skipped, duplicate arcs collapse.  The writer emits sorted
 pairs, so files round-trip deterministically.
 
-.grp: first line n, then n rows of n entries; row g lists g*h for
-h = 0..n-1 and element 0 must be the identity.  Subset files hold one
+.grp: first line n >= 1, then n rows of n entries; row g lists g*h for
+h = 0..n-1 and element 0 must be the identity.  Entries are
+whitespace-separated base-10 integers as int() reads them.  Each row is
+read by numpy into int64, and the table reaches `group_from_table` as one
+(n, n) int64 array; a row numpy cannot read the way int() does is read
+again token by token, which names the bad token.  Subset files hold one
 element index per line.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Iterable
+
+import numpy as np
 
 from .groups import FiniteGroup, group_from_table
 from .relation import Relation
@@ -82,20 +89,48 @@ def read_group(path: str | os.PathLike) -> FiniteGroup:
         raise ParseError(path, 1, "missing group order")
     number, text = lines[0]
     n = _parse_int(path, number, text, "group order")
+    if n < 1:
+        raise ParseError(path, number, f"non-positive group order: {n}")
     if len(lines) - 1 != n:
         raise ParseError(path, number, f"expected {n} table rows, got {len(lines) - 1}")
-    table = []
+    rows = []
     for number, text in lines[1:]:
-        tokens = text.split()
-        try:
-            row = list(map(int, tokens))
-        except ValueError:  # parse again token by token to name the bad one
-            row = [_parse_int(path, number, tok, "table entry") for tok in tokens]
+        row = _parse_row(text)
+        if row is None:  # token by token, as int() reads them; names a bad one
+            row = _saturated([_parse_int(path, number, tok, "table entry") for tok in text.split()])
         if len(row) != n:
             raise ParseError(path, number, f"expected {n} entries, got {len(row)}")
-        table.append(row)
+        rows.append(row)
     name = os.path.splitext(os.path.basename(path))[0]
-    return group_from_table(table, name)
+    return group_from_table(np.vstack(rows), name)
+
+
+def _parse_row(text: str) -> np.ndarray | None:
+    """The row's entries as int64, or None where numpy may read it other
+    than int() does.  numpy refuses what it cannot read (`1_0`, non-ASCII
+    digits and spaces, `1.5`), but it reads a lone sign as 0 and reads
+    tokens longer than int()'s digit limit, so such rows go the slow way.
+    numpy saturates an entry outside int64 to 2^63 - 1, which no table
+    accepts, so that entry is still refused."""
+    if "-" in text or "+" in text:
+        return None
+    try:
+        row = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    # the longest of the row's tokens has at most this many characters
+    longest = len(text) - 2 * (len(row) - 1)
+    limit = sys.get_int_max_str_digits()
+    if limit and longest > limit and max(map(len, text.split())) > limit:
+        return None
+    return row
+
+
+def _saturated(row: list[int]) -> np.ndarray:
+    """An int64 row, entries outside int64 clamped to its range (and so
+    refused by `group_from_table` like every out-of-range entry)."""
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    return np.array([min(max(v, lo), hi) for v in row], dtype=np.int64)
 
 
 def write_group(path: str | os.PathLike, group: FiniteGroup) -> None:

@@ -54,9 +54,12 @@ class FiniteGroup:
 
 
 def group_from_table(
-    table: Sequence[Sequence[int]], name: str = "G"
+    table: Sequence[Sequence[int]] | np.ndarray, name: str = "G"
 ) -> FiniteGroup:
     """Validate and wrap a multiplication table.
+
+    The table is nested sequences of ints or an (n, n) array; an int64
+    array is used as given, without a copy.
 
     Checks: square with in-range entries, element 0 a two-sided identity,
     every row and column a permutation, associativity for all triples.

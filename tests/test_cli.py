@@ -20,6 +20,7 @@ from relgrowth import (
     dihedral,
     direct_product,
     fileio,
+    group_from_table,
     is_point_transitive_brute,
     theorems,
 )
@@ -327,7 +328,12 @@ class TestRefusalsBeforeOutput:
         )
 
     @pytest.mark.parametrize(
-        "text, error", [("# no header\n", "{path}:1: missing group order"), ("0\n", "EmptyTable")]
+        "text, error",
+        [
+            ("# no header\n", "{path}:1: missing group order"),
+            pytest.param("0\n", "{path}:1: non-positive group order: 0", id="order-0"),
+            pytest.param("-3\n", "{path}:1: non-positive group order: -3", id="order-minus-3"),
+        ],
     )
     def test_zerosum_group_without_elements(self, tmp_path, text, error):
         path, subset = tmp_path / "g.grp", tmp_path / "s.sub"
@@ -374,13 +380,30 @@ class TestZerosumCommand:
         write_subset(sub, [0, 2])
         assert main(["zerosum", str(grp), str(sub)]) == 2
 
-    @pytest.mark.parametrize("entry", ["99999999999999999999999", "-99999999999999999999999"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "99999999999999999999999",
+            "-99999999999999999999999",
+            "18446744073709551617",  # 2^64 + 1: a parser that wraps reads 1
+            "9223372036854775808",  # 2^63
+            "-9223372036854775809",  # -2^63 - 1
+        ],
+    )
     def test_entry_outside_int64_exit_two(self, tmp_path, capsys, entry):
-        grp, sub = tmp_path / "big.grp", tmp_path / "s.txt"
-        grp.write_text(f"2\n0 1\n1 {entry}\n")
+        """The entry is the table's only fault, in place of the 0 that ends
+        row 1 of Z11: once in a row of plain tokens, once beside `1_0`
+        (int() reads it as 10, numpy does not), which sends the row
+        token by token."""
+        rows = [" ".join(map(str, row)) for row in cyclic(11).table]
+        sub = tmp_path / "s.txt"
         sub.write_text("1\n")
-        assert main(["zerosum", str(grp), str(sub)]) == 2
-        assert capsys.readouterr().err == "error: MalformedTable\n"
+        for i, row in enumerate([f"1 2 3 4 5 6 7 8 9 10 {entry}", f"1 2 3 4 5 6 7 8 9 1_0 {entry}"]):
+            grp = tmp_path / f"big{i}.grp"
+            grp.write_text("".join(f"{line}\n" for line in ["11", rows[0], row, *rows[2:]]))
+            assert main(["zerosum", str(grp), str(sub)]) == 2, row
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: MalformedTable\n"), row
 
     def test_order_1024_time_and_memory(self, tmp_path, capsys):
         # a relabelled D512: rotation k at k, reflection at 512 + k, then
@@ -526,6 +549,95 @@ class TestRelationFuzz:
                     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
                 else:
                     assert err == "" and out
+
+
+def reference_read_group(path):
+    """`fileio.read_group` as it read tables before numpy: every entry
+    through int() token by token, the table handed on as lists.  Kept to
+    cross-check the numpy row parse."""
+    lines = fileio._data_lines(path)
+    if not lines:
+        raise fileio.ParseError(path, 1, "missing group order")
+    number, text = lines[0]
+    n = fileio._parse_int(path, number, text, "group order")
+    if n < 1:
+        raise fileio.ParseError(path, number, f"non-positive group order: {n}")
+    if len(lines) - 1 != n:
+        raise fileio.ParseError(path, number, f"expected {n} table rows, got {len(lines) - 1}")
+    table = []
+    for number, text in lines[1:]:
+        row = [fileio._parse_int(path, number, tok, "table entry") for tok in text.split()]
+        if len(row) != n:
+            raise fileio.ParseError(path, number, f"expected {n} entries, got {len(row)}")
+        table.append(row)
+    name = Path(path).stem
+    return group_from_table(table, name)
+
+
+def outcome(read, path):
+    """read(path), or the type and message of what it raised."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+GROUP_BASES = [cyclic(6), dihedral(3), direct_product(cyclic(2), cyclic(4))]
+GROUP_KINDS = ("header", "token", "no_break_space", "drop_token", "add_token", "drop_row")
+# tokens int() and numpy read apart: outside int64 (numpy saturates),
+# out of range, forms only int() reads (`1_0`, Arabic-Indic three, a lone
+# or leading sign, more digits than int() takes) and forms neither reads
+GROUP_VALUES = st.sampled_from(
+    [str(2**64 + 1), str(2**63), "-1", "n", "1_0", "\u0663", "1.5", "0x1",
+     "-", "+", "+1", "0" * 4300 + "1"]
+)
+
+
+class TestGroupFuzz:
+    @given(
+        base=st.sampled_from(GROUP_BASES),
+        kind=st.sampled_from(GROUP_KINDS),
+        where=st.integers(min_value=0, max_value=10**6),
+        value=GROUP_VALUES,
+    )
+    @example(base=GROUP_BASES[0], kind="token", where=7, value=str(2**64 + 1))
+    @example(base=GROUP_BASES[1], kind="token", where=0, value="-")
+    @example(base=GROUP_BASES[2], kind="header", where=0, value="-1")
+    @example(base=GROUP_BASES[0], kind="token", where=1, value="0" * 4300 + "1")
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_rows_match_int_rows(self, base, kind, where, value):
+        """Mutated .grp files read to the same group or the same error by
+        `read_group` and `reference_read_group`, and `zerosum` on them
+        exits 0, or exits 2 with one error line and no output."""
+        n = base.n
+        header, rows = str(n), [[str(v) for v in row] for row in base.table]
+        value = str(n) if value == "n" else value
+        r, c = where % n, where // n % n
+        if kind == "header":
+            header = value
+        elif kind == "token":
+            rows[r][c] = value
+        elif kind == "drop_token":
+            del rows[r][c]
+        elif kind == "add_token":
+            rows[r].insert(c, value)
+        elif kind == "drop_row":
+            del rows[r]
+        lines = [header] + [" ".join(row) for row in rows]
+        if kind == "no_break_space":  # in place of the c-th space of row r
+            i = [i for i, ch in enumerate(lines[1 + r]) if ch == " "][c % (n - 1)]
+            lines[1 + r] = lines[1 + r][:i] + "\u00a0" + lines[1 + r][i + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            grp, sub = Path(tmp) / "g.grp", Path(tmp) / "s.txt"
+            grp.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            sub.write_text(f"1\n{n - 1}\n")
+            assert outcome(fileio.read_group, grp) == outcome(reference_read_group, grp), lines
+            code, out, err = run_quietly(["zerosum", str(grp), str(sub)])
+        assert code in (0, 2), lines
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and out.startswith("k = ")
 
 
 class TestGenCommand:

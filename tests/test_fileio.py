@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from relgrowth import Relation, cyclic, dihedral
+from relgrowth import FiniteGroup, Relation, catalog_up_to_order, group_from_table
 from relgrowth.fileio import (
     ParseError,
     read_group,
@@ -49,13 +50,40 @@ class TestRelationFormat:
         assert path.read_text() == "3\n0 1\n0 2\n2 0\n"
 
 
+def assert_python_table(group, expected):
+    """group.table is a tuple of tuples of Python ints equal to expected."""
+    assert type(group.table) is tuple
+    assert all(type(row) is tuple for row in group.table)
+    assert all(type(v) is int for row in group.table for v in row)
+    assert group.table == tuple(map(tuple, expected))
+
+
 class TestGroupFormat:
     def test_round_trip(self, tmp_path):
-        group = dihedral(3)
-        path = tmp_path / "d3.grp"
-        write_group(path, group)
+        for group in catalog_up_to_order(16):
+            path = tmp_path / f"{group.name}.grp"
+            write_group(path, group)
+            loaded = read_group(path)
+            assert_python_table(loaded, group.table)
+            assert loaded == group
+
+    def test_relabelled_order_256(self, tmp_path):
+        # D128 with element a renamed perm[a], as the benchmark's tables are
+        n, m = 256, 128
+        a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        (f1, k1), (f2, k2) = np.divmod(a, m), np.divmod(b, m)
+        base = (k1 + np.where(f1 == 0, k2, -k2)) % m + m * (f1 ^ f2)
+        perm = np.concatenate([[0], 1 + np.random.default_rng(256).permutation(n - 1)])
+        table = np.empty_like(base)
+        table[np.ix_(perm, perm)] = perm[base]
+        source = group_from_table(table.tolist(), "d128")
+        path = tmp_path / "d128.grp"
+        write_group(path, source)
         loaded = read_group(path)
-        assert loaded.table == group.table
+        assert isinstance(loaded, FiniteGroup)
+        assert_python_table(loaded, table.tolist())
+        assert loaded == source
+        assert group_from_table(table, "d128") == source
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "g.grp"
