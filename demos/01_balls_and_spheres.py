@@ -33,13 +33,14 @@ def show_growth(rel, v, label):
 cycle = Relation.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
 show_growth(cycle.reflexive_closure(), 0, "reflexive 9-cycle")
 
-# A circulant with two generators has r = 3 after taking the reflexive
-# closure, and its spheres have exactly two new vertices per step while
-# the window stays open.
-rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
+# A circulant with two generators has r = 3 once the identity 0 joins
+# them, which gives every vertex its loop: Cay(Z12, {0, 1, 2}) is the
+# reflexive closure.  Its spheres have exactly two new vertices per step
+# while the window stays open.
+rel, _ = cayley_relation(cyclic(12), [0, 1, 2])
 show_growth(rel, 0, "Cay(Z12, {1,2}) + loops")
 
 # With generators spread further apart the spheres can be strictly
 # larger than the bound for a while.
-rel, _ = cayley_relation(cyclic(17), [1, 5], reflexive=True)
+rel, _ = cayley_relation(cyclic(17), [0, 1, 5])
 show_growth(rel, 0, "Cay(Z17, {1,5}) + loops")

@@ -39,8 +39,9 @@ cycle = Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 describe(cycle.reflexive_closure(), "reflexive 6-cycle")
 print()
 
-# Doubling the generators doubles the connectivity.
-rel, _ = cayley_relation(cyclic(8), [1, 2], reflexive=True)
+# Doubling the generators doubles the connectivity; the identity 0 in
+# the subset gives every vertex its loop, as on the cycle above.
+rel, _ = cayley_relation(cyclic(8), [0, 1, 2])
 describe(rel, "Cay(Z8, {1,2}) + loops")
 print()
 

@@ -110,7 +110,7 @@ def _cmd_verify(args) -> int:
     for key, value in run.summary.items():
         print(f"  {key}: {value}")
     for report in run.reports:
-        if report.caveats and report.failures:
+        if report.caveats and (report.failures or not report.checks):
             print(f"  caveated: {report.descriptor} ({','.join(report.caveats)})")
     return 0 if run.ok else 1
 

@@ -268,22 +268,20 @@ def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray, np.n
         raise ValueError("oracle requires at least 2 vertices")
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle refused: n={n} exceeds limit {ORACLE_LIMIT}")
-    # image and size of every subset mask, each built from the mask
-    # without its top vertex: 2^n word operations, no per-subset loop
+    # image of every subset mask, each built from the mask without its
+    # top vertex: 2^n word operations, no per-subset loop
     masks = np.arange(1 << n, dtype=np.int64)
     images = np.zeros(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
     for v, succ in enumerate(rel.succ):
         images[1 << v : 2 << v] = images[: 1 << v] | succ
-        sizes[1 << v : 2 << v] = sizes[: 1 << v] + 1
     feasible = (masks != 0) & ((masks | images) != (1 << n) - 1)
     if not feasible.any():
         return n - 1, masks[:0], masks[:0], masks[:0]
     boundaries = images & ~masks
-    boundary_sizes = sizes[boundaries]
+    boundary_sizes = np.bitwise_count(boundaries)
     value = int(boundary_sizes[feasible].min())
     hits = masks[feasible & (boundary_sizes == value)]
-    return value, hits, sizes[hits], boundaries[hits]
+    return value, hits, np.bitwise_count(hits), boundaries[hits]
 
 
 def _sorted_fragments(

@@ -8,9 +8,10 @@ pairs, so files round-trip deterministically.
 h = 0..n-1 and element 0 must be the identity.  Entries are
 whitespace-separated base-10 integers as int() reads them.  Each row is
 read by numpy into int64, and the table reaches `group_from_table` as one
-(n, n) int64 array; a row numpy cannot read the way int() does is read
-again token by token, which names the bad token.  Subset files hold one
-element index per line.
+(n, n) array; a row numpy cannot read the way int() does is read again
+token by token, which names the bad token, and reaches it as Python ints.
+`group_from_table` refuses an entry outside int64 like any other entry out
+of range.  Subset files hold one element index per line.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def read_group(path: str | os.PathLike) -> FiniteGroup:
     for number, text in lines[1:]:
         row = _parse_row(text)
         if row is None:  # token by token, as int() reads them; names a bad one
-            row = _saturated([_parse_int(path, number, tok, "table entry") for tok in text.split()])
+            tokens = [_parse_int(path, number, tok, "table entry") for tok in text.split()]
+            row = np.array(tokens, dtype=object)
         if len(row) != n:
             raise ParseError(path, number, f"expected {n} entries, got {len(row)}")
         rows.append(row)
@@ -109,9 +111,11 @@ def _parse_row(text: str) -> np.ndarray | None:
     """The row's entries as int64, or None where numpy may read it other
     than int() does.  numpy refuses what it cannot read (`1_0`, non-ASCII
     digits and spaces, `1.5`), but it reads a lone sign as 0 and reads
-    tokens longer than int()'s digit limit, so such rows go the slow way.
-    numpy saturates an entry outside int64 to 2^63 - 1, which no table
-    accepts, so that entry is still refused."""
+    tokens longer than int()'s digit limit, so such rows go the slow way,
+    token by token into Python ints.  numpy saturates an entry outside
+    int64 to 2^63 - 1, which no table accepts; read the slow way, such an
+    entry is refused by `group_from_table`, as every entry outside int64
+    is."""
     if "-" in text or "+" in text:
         return None
     try:
@@ -124,13 +128,6 @@ def _parse_row(text: str) -> np.ndarray | None:
     if limit and longest > limit and max(map(len, text.split())) > limit:
         return None
     return row
-
-
-def _saturated(row: list[int]) -> np.ndarray:
-    """An int64 row, entries outside int64 clamped to its range (and so
-    refused by `group_from_table` like every out-of-range entry)."""
-    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-    return np.array([min(max(v, lo), hi) for v in row], dtype=np.int64)
 
 
 def write_group(path: str | os.PathLike, group: FiniteGroup) -> None:

@@ -58,8 +58,10 @@ def group_from_table(
 ) -> FiniteGroup:
     """Validate and wrap a multiplication table.
 
-    The table is nested sequences of ints or an (n, n) array; an int64
-    array is used as given, without a copy.
+    The table is nested sequences of ints or an (n, n) array.  An int64
+    array is used as given, without a copy, and any other table is
+    converted to one; an entry outside int64 is refused as MalformedTable,
+    like every entry out of range.
 
     Checks: square with in-range entries, element 0 a two-sided identity,
     every row and column a permutation, associativity for all triples.
@@ -111,26 +113,20 @@ def _light_generators(rows: list[list[int]]) -> list[int] | None:
     reached[0] = 1
     found = [0]
     gens: list[int] = []
+    i = 0
     while len(found) < n:
-        if len(gens) == limit:
-            return None
-        a = reached.index(0)
-        gens.append(a)
-        start = len(found)
-        for i in range(start):  # everything reached so far, times a
-            y = rows[found[i]][a]
+        if i == len(found):  # closed: add the least element not reached
+            if len(gens) == limit:
+                return None
+            gens.append(reached.index(0))
+            i = 0
+        row = rows[found[i]]
+        for g in gens:
+            y = row[g]
             if not reached[y]:
                 reached[y] = 1
                 found.append(y)
-        i = start
-        while i < len(found):  # each new element, times every generator
-            row = rows[found[i]]
-            for g in gens:
-                y = row[g]
-                if not reached[y]:
-                    reached[y] = 1
-                    found.append(y)
-            i += 1
+        i += 1
     return gens
 
 
@@ -261,17 +257,18 @@ def _subset_members(group: FiniteGroup, subset: Iterable[int]) -> tuple[int, ...
 
 
 def cayley_relation(
-    group: FiniteGroup, subset: Iterable[int], reflexive: bool = False
+    group: FiniteGroup, subset: Iterable[int]
 ) -> tuple[Relation, TransitivityCertificate]:
-    """Relation with arcs (g, g*s) for s in the subset; loops added iff
-    reflexive.  Left translations x -> h*x are automorphisms acting
+    """Relation with arcs (g, g*s) for s in the subset.  The identity in
+    the subset gives every vertex its loop, so Cay(G, S + {e}) is the
+    reflexive one.  Left translations x -> h*x are automorphisms acting
     transitively, so the certificate holds by construction."""
     gens = _subset_members(group, subset)
     succ = []
-    for g in range(group.n):
-        bits = 1 << g if reflexive else 0
+    for row in group.table:
+        bits = 0
         for s in gens:
-            bits |= 1 << group.table[g][s]
+            bits |= 1 << row[s]
         succ.append(bits)
     return Relation(group.n, tuple(succ)), TransitivityCertificate.cayley()
 

@@ -72,7 +72,7 @@ class TestKappaCommand:
 
     def test_oracle_threshold(self, tmp_path, capsys):
         # one vertex above the oracle's fixed bound of 14
-        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
+        rel, _ = cayley_relation(cyclic(15), [0, 1])
         path = tmp_path / "c.rel"
         write_relation(path, rel)
         assert main(["kappa", str(path), "--oracle"]) == 2
@@ -80,7 +80,7 @@ class TestKappaCommand:
 
     def test_oracle_refusal_before_output(self, tmp_path, capsys):
         # the refusal depends only on n, so no flow result is printed first
-        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
+        rel, _ = cayley_relation(cyclic(15), [0, 1])
         path = tmp_path / "c.rel"
         write_relation(path, rel)
         assert main(["kappa", str(path), "--oracle"]) == 2
@@ -137,7 +137,7 @@ class TestKappaCommand:
                 assert len(runs) == (vertex != "6")  # kappa runs once, after the range check
 
     def test_atom_containing_oracle_refusal_before_output(self, tmp_path, capsys):
-        rel, _ = cayley_relation(cyclic(15), [1], reflexive=True)
+        rel, _ = cayley_relation(cyclic(15), [0, 1])
         path = tmp_path / "c.rel"
         write_relation(path, rel)
         assert main(["atoms", str(path), "-v", "0"]) == 0
@@ -220,8 +220,8 @@ class TestVerifyCommand:
             main(["verify", "quaternions"])
 
     def test_from_files_nontransitive_warns_not_fails(self, tmp_path, capsys):
-        # not regular, so each check is an empty caveated report and no
-        # failure is printed
+        # not regular, so each of main, growth and girth is an empty
+        # caveated report, and each prints one caveat line
         path = tmp_path / "nt.rel"
         write_relation(
             path,
@@ -232,7 +232,19 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == verify_summary(
             "from_files {}", instances=1, checks=0, failures=0, caveated_instances=1,
             tight_checks=0,
-        )
+        ) + 3 * f"  caveated: {path} (not-regular)\n"
+
+    def test_from_files_acyclic_caveated(self, tmp_path, capsys):
+        # no arcs: brute-certified with degree 0, so main and growth pass,
+        # and the girth report has no check and one caveat line
+        path = tmp_path / "empty3.rel"
+        write_relation(path, Relation.from_edges(3, []))
+        code = main(["verify", "from_files", "--files", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == verify_summary(
+            "from_files {}", instances=1, checks=7, caveated_instances=1, tight_checks=7,
+            tight_growth_instances=1,
+        ) + f"  caveated: {path} (acyclic)\n"
 
     def test_from_files_sharpness_counterexample_caveated(self, tmp_path, capsys):
         # regular but not point-transitive: the sphere and the ball bound

@@ -129,7 +129,7 @@ def disjoint_union(a, b):
 
 DISCONNECTED = {
     "Cay(Z8,{2})": cayley_relation(cyclic(8), [2])[0],
-    "Cay(Z9,{3,6}) reflexive": cayley_relation(cyclic(9), [3, 6], reflexive=True)[0],
+    "Cay(Z9,{3,6}) reflexive": cayley_relation(cyclic(9), [0, 3, 6])[0],
     "Cay(Z12,{4,6})": cayley_relation(cyclic(12), [4, 6])[0],
     "C3 + C4": disjoint_union(
         cayley_relation(cyclic(3), [1])[0], cayley_relation(cyclic(4), [1])[0]
@@ -158,7 +158,7 @@ class TestMinSeparatingSet:
                     assert min_separating_set(rel, s, t) is None
 
     def test_circulant_value(self):
-        rel, _ = cayley_relation(cyclic(6), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(6), [0, 1, 2])
         value, _ = min_separating_set(rel, 0, 4)
         assert value == 2
 
@@ -271,7 +271,7 @@ class TestKappa:
         assert [a.set.members() for a in result.atoms] == [(v,) for v in range(6)]
 
     def test_circulant_z8(self):
-        rel, _ = cayley_relation(cyclic(8), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(8), [0, 1, 2])
         result = kappa(rel)
         assert result.kappa == 2 and result.atom_size == 1
 
@@ -280,7 +280,7 @@ class TestKappa:
             kappa(Relation.identity(1))
 
     def test_witness_invariants(self):
-        rel, _ = cayley_relation(cyclic(7), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(7), [0, 1, 2])
         result = kappa(rel)
         frag = result.witness
         assert frag.value == result.kappa
@@ -293,7 +293,7 @@ class TestKappaMatchesSweep:
         for group in catalog_up_to_order(10):
             for gens in subsets_of(range(1, group.n)):
                 for reflexive in (False, True):
-                    rel, _ = cayley_relation(group, gens, reflexive=reflexive)
+                    rel, _ = cayley_relation(group, [0, *gens] if reflexive else gens)
                     assert kappa(rel) == sweep_kappa(rel), (group.name, gens, reflexive)
 
     def test_reachability_helper(self):
@@ -476,7 +476,7 @@ class TestAtoms:
 
     def test_transitive_relations_cover_all_vertices(self):
         for gens in ([1], [1, 2], [2, 3]):
-            rel, _ = cayley_relation(cyclic(7), gens, reflexive=True)
+            rel, _ = cayley_relation(cyclic(7), [0, *gens])
             for v in range(7):
                 assert atom_containing(rel, v) is not None
 
@@ -499,7 +499,7 @@ class TestAtoms:
         assert report.holds
 
     def test_engines_agree(self):
-        rel, _ = cayley_relation(cyclic(8), [1, 3], reflexive=True)
+        rel, _ = cayley_relation(cyclic(8), [0, 1, 3])
         flow = check_atom_disjointness(rel, engine="flow")
         oracle = check_atom_disjointness(rel, engine="oracle")
         assert {a.set.bits for a in flow.forward_atoms} == {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from relgrowth import (
     GroupValidationError,
     Relation,
+    TransitivityCertificate,
     VertexSet,
     abelian_groups,
     automorphisms_brute,
@@ -119,6 +120,39 @@ def matches_cube(table):
     return True
 
 
+def reference_light_generators(rows):
+    """The two-loop search that `_light_generators` replaced: after each
+    new generator a, everything reached so far times a, then each new
+    element times every generator."""
+    n = len(rows)
+    limit = n.bit_length() - 1
+    reached = bytearray(n)
+    reached[0] = 1
+    found = [0]
+    gens = []
+    while len(found) < n:
+        if len(gens) == limit:
+            return None
+        a = reached.index(0)
+        gens.append(a)
+        start = len(found)
+        for i in range(start):
+            y = rows[found[i]][a]
+            if not reached[y]:
+                reached[y] = 1
+                found.append(y)
+        i = start
+        while i < len(found):
+            row = rows[found[i]]
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = 1
+                    found.append(y)
+            i += 1
+    return gens
+
+
 EVEN_CATALOG = [g for g in catalog_up_to_order(24) if g.n % 2 == 0 and g.n >= 4]
 
 
@@ -205,6 +239,36 @@ class TestValidation:
                 reached.update(frontier)
             assert len(reached) == group.n
 
+    def test_light_generators_match_reference(self):
+        rng = random.Random(19)
+        catalog = [[list(row) for row in g.table] for g in catalog_up_to_order(256)]
+        tables = catalog + [
+            relabel(t, [0] + rng.sample(range(1, len(t)), len(t) - 1))
+            for t in catalog
+            if len(t) <= 64
+        ]
+        # non-group loops: intercalate switches of Z_n, and Z2^k x loop
+        # relabelled, which SLOW7 pushes past floor(log2 n) generators
+        for n in range(4, 33, 2):
+            t = [[(a + b) % n for b in range(n)] for a in range(n)]
+            switches = intercalates(t)
+            for r1, r2, c1, c2 in rng.sample(switches, min(3, len(switches))):
+                u = [row[:] for row in t]
+                u[r1][c1], u[r1][c2] = u[r1][c2], u[r1][c1]
+                u[r2][c1], u[r2][c2] = u[r2][c2], u[r2][c1]
+                tables.append(u)
+        for loop in (NONASSOC, SLOW7, HALF6):
+            for _ in range(4):
+                tables.append(loop)
+                tables += [
+                    relabel(loop, [0] + rng.sample(range(1, len(loop)), len(loop) - 1))
+                    for _ in range(5)
+                ]
+                loop = loop_product(2, loop)
+        results = [reference_light_generators(t) for t in tables]
+        assert [_light_generators(t) for t in tables] == results
+        assert len(tables) > 900 and 0 < results.count(None) < len(tables) // 100
+
     def test_exact_check_only_on_refusal(self, monkeypatch):
         def exact_check(t):
             raise AssertionError("exact check ran on a group")
@@ -218,6 +282,14 @@ class TestValidation:
     def test_entry_outside_int64(self, entry):
         with pytest.raises(GroupValidationError) as err:
             group_from_table([[0, 1], [1, entry]])
+        assert err.value.kind == "MalformedTable"
+
+    @pytest.mark.parametrize("entry", [2**64, -(2**63) - 1])
+    def test_object_array_entry_outside_int64(self, entry):
+        # a .grp row read token by token reaches the table as Python ints
+        table = np.array([[0, 1], [1, entry]], dtype=object)
+        with pytest.raises(GroupValidationError) as err:
+            group_from_table(table)
         assert err.value.kind == "MalformedTable"
 
     def test_latin_square_refusals(self):
@@ -325,9 +397,21 @@ class TestCayley:
         rel, _ = cayley_relation(direct_product(cyclic(2), cyclic(2)), [1, 2])
         assert rel.girth() == 2
 
-    def test_reflexive_flag_adds_loops(self):
-        rel, _ = cayley_relation(cyclic(5), [1], reflexive=True)
+    def test_identity_in_subset_is_reflexive_closure(self):
+        rel, _ = cayley_relation(cyclic(5), [0, 1])
         assert rel.is_reflexive()
+        # Cay(G, S + {e}) is the reflexive closure of Cay(G, S), certificate
+        # included, on every set of the catalog up to order 12
+        sets = 0
+        for group in catalog_up_to_order(12):
+            for gens in subsets_of(range(1, group.n)):
+                expected = (
+                    cayley_relation(group, gens)[0].reflexive_closure(),
+                    TransitivityCertificate.cayley(),
+                )
+                assert cayley_relation(group, [0, *gens]) == expected, (group.name, gens)
+                sets += 1
+        assert sets == 9393
 
     def test_subset_range_check(self):
         for element in (5, -1):
@@ -387,7 +471,7 @@ class TestAutomorphisms:
         for group in catalog_up_to_order(10):
             for gens in subsets_of(range(1, group.n)):
                 for reflexive in (False, True):
-                    rel, _ = cayley_relation(group, gens, reflexive=reflexive)
+                    rel, _ = cayley_relation(group, [0, *gens] if reflexive else gens)
                     assert is_point_transitive_brute(rel), (group.name, gens)
         rng = random.Random(20261018)
         answers = set()

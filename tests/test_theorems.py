@@ -46,7 +46,7 @@ class TestHypothesisWindow:
         assert growth_profile(reflexive_cycle(7), 0).max_j == 5
 
     def test_circulant_z12(self):
-        rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(12), [0, 1, 2])
         assert growth_profile(rel, 0).max_j == 4
 
     def test_identity_relation_caps_at_n(self):
@@ -54,7 +54,7 @@ class TestHypothesisWindow:
 
     def test_involution_generators_close_window(self):
         group = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-        rel, _ = cayley_relation(group, [1, 2, 4], reflexive=True)
+        rel, _ = cayley_relation(group, [0, 1, 2, 4])
         # every generator is its own inverse, so the 1-ball already meets
         # the reverse image beyond the base vertex
         assert growth_profile(rel, 0).max_j == 0
@@ -64,7 +64,7 @@ class TestHypothesisWindow:
             growth_profile(Relation.from_edges(3, [(0, 1), (1, 2), (2, 0)]), 0)
 
     def test_monotone_prefix(self):
-        rel, _ = cayley_relation(cyclic(11), [1, 3], reflexive=True)
+        rel, _ = cayley_relation(cyclic(11), [0, 1, 3])
         window = growth_profile(rel, 0)
         rev = rel.reverse().ball(0, 1)
         for j in range(1, window.max_j + 1):
@@ -148,12 +148,12 @@ class TestMainTheorem:
         assert all(c.passed and c.tight for c in report.checks)
 
     def test_circulant_z12(self):
-        rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(12), [0, 1, 2])
         report = check_main_theorem(rel, CAYLEY)
         assert [(c.lhs, c.rhs) for c in report.checks] == [(2, 2)] * 4
 
     def test_sphere_ball_difference_consistent(self):
-        rel, _ = cayley_relation(cyclic(13), [1, 3], reflexive=True)
+        rel, _ = cayley_relation(cyclic(13), [0, 1, 3])
         main = check_main_theorem(rel, CAYLEY)
         growth = check_ball_growth(rel, CAYLEY)
         balls = {c.index: c.lhs for c in growth.checks}
@@ -186,13 +186,13 @@ class TestBallGrowth:
         assert by_j[3].lhs == 4 and by_j[3].rhs == 4 and by_j[3].tight
 
     def test_circulant_z12_tight_at_window_end(self):
-        rel, _ = cayley_relation(cyclic(12), [1, 2], reflexive=True)
+        rel, _ = cayley_relation(cyclic(12), [0, 1, 2])
         report = check_ball_growth(rel, CAYLEY)
         by_j = {c.index: c for c in report.checks}
         assert by_j[4].lhs == 9 and by_j[4].rhs == 9
 
     def test_radius_zero_always_tight(self):
-        rel, _ = cayley_relation(cyclic(9), [2, 3], reflexive=True)
+        rel, _ = cayley_relation(cyclic(9), [0, 2, 3])
         report = check_ball_growth(rel, CAYLEY)
         assert report.checks[0].index == 0
         assert report.checks[0].lhs == 1 and report.checks[0].rhs == 1
@@ -219,7 +219,7 @@ class TestAdditiveOracles:
         # |jS0| >= min(p, 1 + j(r - 1)) for every j, inside the hypothesis
         # window and past it, where the paper's theorem says nothing
         for p, gens in PRIME_CIRCULANTS:
-            rel, _ = cayley_relation(cyclic(p), gens, reflexive=True)
+            rel, _ = cayley_relation(cyclic(p), [0, *gens])
             s0 = {0, *gens}
             ball, sumset = rel.ball(0, 0), {0}
             for j in range(p + 1):
@@ -232,7 +232,7 @@ class TestAdditiveOracles:
         # S0 is an arithmetic progression
         records = tight = 0
         for p, gens in PRIME_CIRCULANTS:
-            rel, cert = cayley_relation(cyclic(p), gens, reflexive=True)
+            rel, cert = cayley_relation(cyclic(p), [0, *gens])
             for c in check_ball_growth(rel, cert).checks:
                 if c.claim == "ball-lower-bound" and c.index == 2 and c.lhs <= p - 2:
                     assert c.tight == is_progression({0, *gens}, p), (p, gens)
@@ -612,7 +612,7 @@ class TestBallWalk:
         )
         expected = [
             theorems._instance_reports(
-                *cayley_relation(group, gens, reflexive=False),
+                *cayley_relation(group, gens),
                 f"Cay({group.name},{list(gens)})", "circulants",
                 {"group": group.name, "gens": list(gens)}, ("main", "growth"),
                 all_vertices, bound_delta,
