@@ -20,11 +20,11 @@ from .theorems import ALL_CHECKS, BugError
 
 def _cmd_spheres(args) -> int:
     rel = fileio.read_relation(args.relation)
-    v = args.vertex
-    if not 0 <= v < rel.n:
-        raise ValueError(f"vertex {v} out of range for n={rel.n}")
+    # both refusals come before the header
+    ball = rel.ball(args.vertex, 0)
+    if args.j_max < 0:
+        raise ValueError(f"--j-max {args.j_max} is below 0")
     print("j\t|ball|\t|sphere|")
-    ball = rel.ball(v, 0)
     print(f"0\t{len(ball)}\t-")
     for j in range(1, args.j_max + 1):
         nxt = rel.image(ball)
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--checks", default="all",
-                   help="comma-separated subset of main,growth,girth,zerosum")
+                   help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
     p.add_argument("--files", nargs="*", default=[], help="for from_files")
     p.add_argument("--report", help="write a newline-delimited JSON report here")
     p.add_argument("--all-vertices", action="store_true",

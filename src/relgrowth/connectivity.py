@@ -23,7 +23,6 @@ image(X)) maps the minimizers onto the reverse's, keeping the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -356,26 +355,26 @@ class AtomDisjointnessReport:
 
 def _atoms_both_ways(
     rel: Relation, engine: str
-) -> tuple[int, tuple[Fragment, ...], Callable[[], tuple[Fragment, ...]]]:
-    """(kappa, atoms, a call giving the reverse's atoms); atoms are empty
-    for complete-type relations, on both sides at once.  The oracle engine
-    is only valid up to ORACLE_LIMIT vertices but much faster there, and
-    reads both sides off one pass; the flow engine runs the reverse only
-    when the call is made."""
+) -> tuple[int, tuple[Fragment, ...], tuple[Fragment, ...]]:
+    """(kappa, atoms, the reverse's atoms); atoms are empty for
+    complete-type relations, on both sides at once.  The oracle engine is
+    only valid up to ORACLE_LIMIT vertices but much faster there, and reads
+    both sides off one pass; the flow engine runs `kappa` on each side."""
     if engine == "oracle":
         value, forward, reverse = _oracle_atoms(rel)
-        return value, tuple(forward), lambda: tuple(reverse)
+        return value, tuple(forward), tuple(reverse)
+    if engine != "flow":
+        raise ValueError(f"unknown engine: {engine}")
     result = kappa(rel)
-    return result.kappa, result.atoms, lambda: kappa(rel.reverse()).atoms
+    return result.kappa, result.atoms, kappa(rel.reverse()).atoms
 
 
 def check_atom_disjointness(rel: Relation, engine: str = "flow") -> AtomDisjointnessReport:
     """Atoms of rel and of its reverse; disjointness must hold on at least
     one side (a proven fact), so a double failure marks a bug upstream."""
-    _, forward_atoms, reverse = _atoms_both_ways(rel, engine)
+    _, forward_atoms, reverse_atoms = _atoms_both_ways(rel, engine)
     if not forward_atoms:
         raise AtomsUndefinedError("atoms are undefined for a complete relation")
-    reverse_atoms = reverse()
     return AtomDisjointnessReport(
         forward_atoms,
         reverse_atoms,
@@ -407,13 +406,13 @@ def check_proposition_basic(
 
     if not certified and not is_point_transitive_brute(rel):
         return PropositionReport(False, "not point-transitive")
-    value, forward_atoms, reverse = _atoms_both_ways(rel, engine)
+    value, forward_atoms, reverse_atoms = _atoms_both_ways(rel, engine)
     if not forward_atoms:
         return PropositionReport(False, "complete relation: no fragments")
     if value == 0:
         # disconnected: atoms are whole closed components, exceeding kappa=0
         return PropositionReport(False, "not connected")
-    if len(forward_atoms[0].set) > len(reverse()[0].set):
+    if len(forward_atoms[0].set) > len(reverse_atoms[0].set):
         return PropositionReport(False, "hypothesis a(rel) <= a(reverse) fails")
     atom = forward_atoms[0]
     induced, _ = rel.restriction(atom.set)

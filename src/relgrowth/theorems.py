@@ -401,13 +401,11 @@ _BLOCK_SETS = 1024
 
 def _block_image(sets: np.ndarray, translates: np.ndarray) -> np.ndarray:
     """Column b's image: the OR of the translates translates[g, b] over the
-    elements g of sets[b], one layer of a batched walk."""
-    # only the elements of some set pick out a translate
-    present = int(np.bitwise_or.reduce(sets))
-    rows = [g for g in range(len(translates)) if present >> g & 1]
-    picked = sets >> np.array(rows, dtype=np.uint64)[:, None]
+    elements g of sets[b], one layer of a batched walk.  The last row,
+    T^-1, has no element: no bit of sets picks it."""
+    picked = sets >> np.arange(len(translates) - 1, dtype=np.uint64)[:, None]
     picked &= 1
-    picked *= translates[rows]
+    picked *= translates[:-1]
     return np.bitwise_or.reduce(picked, axis=0)
 
 
@@ -551,21 +549,18 @@ def _inverse_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
 
 def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     n = group.n
-    total = (1 << (n - 1)) - 1 if n > 1 else 0
+    total = (1 << (n - 1)) - 1
     pairs = _inverse_pairs(group)
     inverse_free = 3 ** len(pairs) - 1
-    tight = 0
-    failures: list[VerificationReport] = []
     # girth-2 class: r <= n - 1 always; tight only for the full subset,
     # which always contains an inverse pair when n > 1.
-    if n > 1:
-        tight += 1
-    if not pairs:
-        return GirthScanResult(group.name, n, total, total, 0, tight, failures)
+    tight = int(n > 1)
+    failures: list[VerificationReport] = []
     # pair (a, b)'s digit picks neither, a or b; the last pair is the least
     # significant digit, so the sets come in
-    # itertools.product((0, 1, 2), repeat=len(pairs)) order
-    for masks, ends, layers in _walk(group, pairs[::-1]):
+    # itertools.product((0, 1, 2), repeat=len(pairs)) order.  With no pair
+    # there is nothing to walk, and a group of order above 64 builds no mask.
+    for masks, ends, layers in _walk(group, pairs[::-1]) if pairs else ():
         if len(layers) == n:  # some window never closed, where g - 2 < n must
             raise BugError(f"identity unreachable over {len(layers[-1][0])} generator sets")
         girths = ends + 2
@@ -698,6 +693,8 @@ def run_family(
     for c in selected:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check: {c}")
+    # each claim once, in report order, however the caller listed them
+    selected = tuple(c for c in ALL_CHECKS if c in selected)
     instances: list[list[VerificationReport]] = []
     girth_scans: list[GirthScanResult] = []
     if family == "from_files":

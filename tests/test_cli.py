@@ -234,6 +234,19 @@ class TestVerifyCommand:
             tight_checks=0,
         ) + 3 * f"  caveated: {path} (not-regular)\n"
 
+    def test_from_files_repeated_claim_reported_once(self, tmp_path, capsys):
+        # not regular: one empty caveated report per distinct claim, in
+        # report order, however often and in whatever order it is listed
+        path, report = tmp_path / "nr3.rel", tmp_path / "out.ndjson"
+        write_relation(path, Relation.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+        code = main(["verify", "from_files", "--files", str(path), "--checks", "girth,main,main",
+                     "--report", str(report)])
+        assert code == 0
+        assert capsys.readouterr().out == verify_summary(
+            "from_files {}", instances=1, caveated_instances=1,
+        ) + 2 * f"  caveated: {path} (not-regular)\n"
+        assert len(report.read_text().splitlines()) == 2
+
     def test_from_files_acyclic_caveated(self, tmp_path, capsys):
         # no arcs: brute-certified with degree 0, so main and growth pass,
         # and the girth report has no check and one caveat line
@@ -313,8 +326,8 @@ class TestRelationFileLimits:
 
 class TestRefusalsBeforeOutput:
     """Each refusal exits 2 with one error line and prints nothing first;
-    `spheres` checks its vertex before the table header, where
-    `Relation.ball` would refuse only after it."""
+    `spheres` takes its 0-ball, which refuses a vertex out of range, and
+    checks --j-max before the table header."""
 
     @pytest.mark.parametrize("vertex", [7, -1])
     def test_spheres_vertex_out_of_range(self, tmp_path, cycle5, vertex):
@@ -322,6 +335,14 @@ class TestRefusalsBeforeOutput:
         write_relation(path, cycle5)
         assert run_quietly(["spheres", str(path), "-v", str(vertex)]) == (
             2, "", f"error: vertex {vertex} out of range for n=5\n"
+        )
+
+    @pytest.mark.parametrize("j_max", [-1, -2])
+    def test_spheres_negative_j_max(self, tmp_path, cycle5, j_max):
+        path = tmp_path / "c5.rel"
+        write_relation(path, cycle5)
+        assert run_quietly(["spheres", str(path), "--j-max", str(j_max)]) == (
+            2, "", f"error: --j-max {j_max} is below 0\n"
         )
 
     def test_spheres_zero_vertices(self, tmp_path):

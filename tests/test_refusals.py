@@ -8,9 +8,13 @@ from relgrowth import (
     Relation,
     TransitivityCertificate,
     VertexSet,
+    cayley_relation,
+    check_atom_disjointness,
     check_ball_growth,
     check_girth_bound,
     check_main_theorem,
+    check_proposition_basic,
+    cyclic,
     dihedral,
     fragments_oracle,
     growth_profile,
@@ -23,6 +27,8 @@ CYCLE3 = Relation.from_edges(3, [(0, 1), (1, 2), (2, 0)])
 # out-degrees 1, 0, 0 and, with every loop, 2, 1, 1
 PATH_ARC = Relation.from_edges(3, [(0, 1)])
 NOT_REGULAR = "relation is not regular (so not point-transitive)"
+# point-transitive, so the proposition check reaches its engine
+CAY_Z8, _ = cayley_relation(cyclic(8), [1, 3])
 
 REFUSALS = {
     "negative-vertex-count": (lambda: Relation(-1, ()), "vertex count must be nonnegative"),
@@ -68,6 +74,12 @@ REFUSALS = {
     ),
     "separating-set-negative-source": (
         lambda: min_separating_set(CYCLE3, -1, 0), "vertex -1 out of range for n=3"
+    ),
+    "atom-disjointness-unknown-engine": (
+        lambda: check_atom_disjointness(CAY_Z8, engine="orcale"), "unknown engine: orcale"
+    ),
+    "proposition-unknown-engine": (
+        lambda: check_proposition_basic(CAY_Z8, engine="orcale"), "unknown engine: orcale"
     ),
     "fragments-oracle-one-vertex": (
         lambda: fragments_oracle(Relation.identity(1)), "oracle requires at least 2 vertices"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgrowth import (
+    INFINITE,
     BugError,
     Relation,
     TransitivityCertificate,
@@ -32,7 +33,7 @@ from relgrowth.cli import main
 from relgrowth.fileio import write_relation
 from relgrowth.theorems import GrowthProfile, subsets_of
 
-from conftest import random_relation, relations
+from conftest import SHARPNESS_CORPUS, random_relation, relations
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -274,6 +275,28 @@ class TestGirthBound:
                 assert witnesses["window_max_j"] == witnesses["girth"] - 2, (group.name, gens)
                 checked += 1
         assert checked == 2229
+
+    @staticmethod
+    def assert_girth_is_least_window_plus_two(rel):
+        # the paper's reduction needs no transitivity: a shortest cycle
+        # through v closes the window around v at g - 2, and no window
+        # closes earlier; with no cycle every window runs to n
+        closure = rel.reflexive_closure()
+        least = min(growth_profile(closure, v).max_j for v in range(rel.n))
+        g = rel.girth()
+        if g == INFINITE:
+            assert least == rel.n
+        else:
+            assert least == g - 2 < rel.n
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations(min_n=1, max_n=10))
+    def test_girth_is_least_window_plus_two(self, rel):
+        self.assert_girth_is_least_window_plus_two(rel.remove_loops())
+
+    def test_girth_is_least_window_plus_two_on_sharpness_corpus(self):
+        for rel in SHARPNESS_CORPUS:
+            self.assert_girth_is_least_window_plus_two(rel)
 
     def test_loops_refused(self):
         with pytest.raises(ValueError, match="loopless"):
