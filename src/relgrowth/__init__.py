@@ -18,7 +18,6 @@ from .groups import (
     GroupValidationError,
     TransitivityCertificate,
     abelian_groups,
-    automorphisms_brute,
     catalog_up_to_order,
     cayley_relation,
     cyclic,

@@ -56,7 +56,6 @@ class Fragment:
 class ConnectivityResult:
     kappa: int
     complete: bool
-    witness: Fragment | None
     atom_size: int | None
     atoms: tuple[Fragment, ...]
 
@@ -180,7 +179,8 @@ def min_separating_set(
 
 
 def kappa(rel: Relation) -> ConnectivityResult:
-    """Exact connectivity with a witness fragment and all atoms.
+    """Exact connectivity and all atoms, sorted by `Fragment.sort_key`;
+    atoms[0] is a kappa-fragment.
 
     If every ordered pair is inseparable (each vertex reaches all others in
     one step) the relation behaves as complete: kappa = n - 1, atoms
@@ -218,7 +218,7 @@ def kappa(rel: Relation) -> ConnectivityResult:
     succ = forward.succ
     degrees = [s.bit_count() for v, s in enumerate(succ) if s | 1 << v != full]
     if not degrees:
-        return ConnectivityResult(n - 1, True, None, None, ())
+        return ConnectivityResult(n - 1, True, None, ())
     delta = min(degrees)
     low = (2 << delta) - 1  # vertices 0..delta
     pair_cuts = {
@@ -254,7 +254,7 @@ def kappa(rel: Relation) -> ConnectivityResult:
             key=Fragment.sort_key,
         )
     )
-    return ConnectivityResult(best, False, atoms[0], atom_size, atoms)
+    return ConnectivityResult(best, False, atom_size, atoms)
 
 
 def _oracle_minimizers(rel: Relation) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

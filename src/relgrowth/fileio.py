@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Iterable
 
 import numpy as np
 
@@ -142,9 +141,3 @@ def read_subset(path: str | os.PathLike) -> list[int]:
         _parse_int(path, number, text, "element index")
         for number, text in _data_lines(path)
     ]
-
-
-def write_subset(path: str | os.PathLike, members: Iterable[int]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for v in sorted(members):
-            handle.write(f"{v}\n")

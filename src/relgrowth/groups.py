@@ -40,9 +40,6 @@ class FiniteGroup:
 
     identity = 0
 
-    def mul(self, g: int, h: int) -> int:
-        return self.table[g][h]
-
     def inverse(self, g: int) -> int:
         return self.table[g].index(0)
 
@@ -313,11 +310,6 @@ def _automorphisms(
                 yield from extend(k + 1, used | 1 << p)
 
     return extend(0, 0)
-
-
-def automorphisms_brute(rel: Relation) -> list[tuple[int, ...]]:
-    """All arc-preserving vertex permutations, by backtracking search."""
-    return list(_automorphisms(rel))
 
 
 def is_point_transitive_brute(rel: Relation) -> bool:

@@ -16,15 +16,6 @@ from typing import Iterable, Iterator
 INFINITE = math.inf
 
 
-def _mask_of(members: Iterable[int], n: int, what: str) -> int:
-    bits = 0
-    for v in members:
-        if not 0 <= v < n:
-            raise ValueError(f"{what} {v} out of range for universe size {n}")
-        bits |= 1 << v
-    return bits
-
-
 def _iter_bits(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits
@@ -38,22 +29,6 @@ class VertexSet:
 
     n: int
     bits: int
-
-    @classmethod
-    def of(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        return cls(n, _mask_of(members, n, "vertex"))
-
-    @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: {self.n} != {other.n}")
 
     def members(self) -> tuple[int, ...]:
         return tuple(_iter_bits(self.bits))
@@ -70,21 +45,10 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.bits | other.bits)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.bits & other.bits)
-
     def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
+        if self.n != other.n:
+            raise ValueError(f"universe mismatch: {self.n} != {other.n}")
         return VertexSet(self.n, self.bits & ~other.bits)
-
-    def is_subset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
 
 
 def _image_bits(succ: tuple[int, ...], bits: int) -> int:
@@ -195,17 +159,24 @@ class Relation:
 
     def girth(self) -> int | float:
         """Length of the shortest directed cycle; INFINITE if acyclic.
-        A loop gives girth 1."""
+        A loop gives girth 1.  The k-step images of each vertex are grown
+        until they return to it; once they empty, every vertex they passed
+        reaches no cycle, and later searches drop those vertices."""
         best: int | float = INFINITE
+        dead = 0
         for a in range(self.n):
-            bits = 1 << a
+            bits = seen = 1 << a
             for k in range(1, self.n + 1):
                 if k >= best:
                     break
-                bits = _image_bits(self.succ, bits)
+                bits = _image_bits(self.succ, bits) & ~dead
                 if bits >> a & 1:
                     best = k
                     break
+                if not bits:
+                    dead |= seen
+                    break
+                seen |= bits
             if best == 1:
                 break
         return best

@@ -98,11 +98,6 @@ class VerificationReport:
     def failures(self) -> list[CheckRecord]:
         return [c for c in self.checks if not c.passed]
 
-    @property
-    def bug(self) -> bool:
-        # violations on uncertified instances are caveats, not bugs
-        return bool(self.failures) and not self.caveats
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -132,7 +127,6 @@ class GrowthProfile:
     growing keeps the window open for good, so the window then runs to n
     and the last ball repeats."""
 
-    vertex: int
     balls: tuple[int, ...]
 
     @property
@@ -161,7 +155,7 @@ def growth_profile(rel: Relation, v: int) -> GrowthProfile:
             balls += [nxt] * (rel.n + 1 - j)
             break
         balls.append(nxt)
-    return GrowthProfile(v, tuple(balls))
+    return GrowthProfile(tuple(balls))
 
 
 hypothesis_window = growth_profile  # kept only because perfbench/tracing.py wraps this name

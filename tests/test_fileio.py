@@ -9,7 +9,6 @@ from relgrowth.fileio import (
     read_subset,
     write_group,
     write_relation,
-    write_subset,
 )
 
 
@@ -101,8 +100,9 @@ class TestGroupFormat:
 class TestSubsetFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "s.txt"
-        write_subset(path, [4, 1, 3])
-        assert read_subset(path) == [1, 3, 4]
+        members = [4, 1, 3]
+        path.write_text("".join(f"{v}\n" for v in members))
+        assert read_subset(path) == members
 
     def test_bad_entry(self, tmp_path):
         path = tmp_path / "s.txt"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from relgrowth import Relation
 from relgrowth.cli import main
-from relgrowth.fileio import write_relation, write_subset
+from relgrowth.fileio import write_relation
 
 from conftest import SHARPNESS_CORPUS
 
@@ -93,7 +93,7 @@ def output_digests() -> dict[str, str]:
     for name, rel in INPUTS.items():
         write_relation(name, rel)
     for name, members in SUBSETS.items():
-        write_subset(name, members)
+        Path(name).write_text("".join(f"{v}\n" for v in members))
     digests = {}
     for command in COMMANDS:
         before = _snapshot()

@@ -41,14 +41,25 @@ REFUSALS = {
     "negative-ball-radius": (
         lambda: CYCLE3.ball(0, -1), "ball radius must be nonnegative"
     ),
+    "from-edges-arc-past-n": (
+        lambda: Relation.from_edges(2, [(0, 5)]), "edge (0, 5) out of range for n=2"
+    ),
+    "image-other-universe": (
+        lambda: CYCLE3.image(VertexSet(4, 0)), "universe mismatch: 4 != 3"
+    ),
+    "difference-other-universe": (
+        lambda: VertexSet(3, 0).difference(VertexSet(4, 0)), "universe mismatch: 3 != 4"
+    ),
+    "compose-other-size": (
+        lambda: CYCLE3.compose(Relation.identity(4)), "size mismatch: 3 != 4"
+    ),
+    "ball-vertex-past-n": (lambda: CYCLE3.ball(3, 1), "vertex 3 out of range for n=3"),
+    "ball-negative-vertex": (lambda: CYCLE3.ball(-1, 0), "vertex -1 out of range for n=3"),
     "restriction-other-universe": (
-        lambda: CYCLE3.restriction(VertexSet.of(4, [0])), "universe mismatch: 4 != 3"
+        lambda: CYCLE3.restriction(VertexSet(4, 1)), "universe mismatch: 4 != 3"
     ),
-    "vertex-set-member-past-n": (
-        lambda: VertexSet.of(3, [3]), "vertex 3 out of range for universe size 3"
-    ),
-    "vertex-set-negative-member": (
-        lambda: VertexSet.of(3, [-1]), "vertex -1 out of range for universe size 3"
+    "restriction-empty": (
+        lambda: CYCLE3.restriction(VertexSet(3, 0)), "restriction to the empty set is undefined"
     ),
     "growth-profile-at-n": (
         lambda: growth_profile(CYCLE3.reflexive_closure(), 3), "vertex 3 out of range for n=3"
