@@ -3,9 +3,9 @@
 kappa(rel) is the minimum of |image(X) \\ X| over nonempty X with
 X + image(X) != V; a minimizer is a fragment, a minimum-cardinality
 fragment is an atom.  The engine is a unit-capacity maximum flow on the
-vertex-split digraph, run as bitmask frontiers: one cut kernel per
-direction holds the loop-free successor and predecessor masks, reaches a
-whole frontier with one OR per frontier vertex, and reads the
+vertex-split digraph, run as bitmask frontiers: one cut function takes
+the loop-free successor and predecessor masks (swapped for the reverse),
+reaches a whole frontier with one OR per frontier vertex, and reads the
 inclusion-minimal optimal source side off residual reachability, the
 bottom of the min-cut lattice.  Phase 1 (Even's super-source reduction)
 finds kappa from the flows between the separable pairs of vertices
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import groups
 from .relation import Relation, VertexSet, _image_bits, _iter_bits
 
 ORACLE_LIMIT = 14
@@ -66,98 +67,90 @@ class ConnectivityResult:
         return next((atom for atom in self.atoms if v in atom.set), None)
 
 
-class _CutKernel:
-    """Vertex cuts on one direction of a relation as bitmask searches.
+def _cut(
+    succ: tuple[int, ...], pred: tuple[int, ...], first: int, origin: int, t: int
+) -> tuple[int, int]:
+    """Maximum number of vertex-disjoint paths from the source node to t's
+    in-node, and the bits of the inclusion-minimal optimal side.
 
     Vertex v splits into an in-node and an out-node joined by an arc of
-    capacity 1; each arc u -> v (u != v, loops never contribute to a
-    boundary) joins u's out-node to v's in-node with unbounded capacity.
-    The flow is a mask of used vertices, whose own arcs are full, and per
-    used vertex the bit of its flow predecessor (prv) and its flow
-    successor (nxt).  The reverse direction is the kernel with succ and
-    pred swapped."""
+    capacity 1; each arc u -> v of the loop-free successor masks succ
+    (pred its predecessor masks) joins u's out-node to v's in-node with
+    unbounded capacity.  The flow is a mask of used vertices, whose own
+    arcs are full, and per used vertex the bit of its flow predecessor
+    (prv) and its flow successor (nxt).  The reverse direction is the same
+    search with succ and pred swapped.
 
-    __slots__ = ("succ", "pred")
-
-    def __init__(self, succ: tuple[int, ...], pred: tuple[int, ...]):
-        self.succ, self.pred = succ, pred
-
-    def cut(self, first: int, origin: int, t: int) -> tuple[int, int]:
-        """Maximum number of vertex-disjoint paths from the source node to
-        t's in-node, and the bits of the inclusion-minimal optimal side.
-
-        The source node reaches the in-nodes of `first`.  It is s's
-        out-node when origin is 1 << s and first is s's successors (the
-        caller ensures t is not one of them); with origin 0 it is a
-        super-source outside V joined to the in-nodes of the sources
-        `first`, which t must not be among."""
-        succ, pred = self.succ, self.pred
-        n, into_t = len(succ), pred[t]
-        # the paths of length 2, all at once; their entries below are the
-        # defaults, and every other entry is written before it is read
-        used = first & into_t
-        value = used.bit_count()
-        prv, nxt = [origin] * n, [t] * n
-        while True:
-            # breadth-first search in alternating layers of in-nodes and
-            # out-nodes; once t is out of reach, the out-nodes reached are
-            # the minimal source side
-            layers = [first]
-            seen_in = frontier = first
-            seen_out = origin
-            while frontier:
-                # a free in-node crosses its own arc, a used one steps back
-                # along the flow arc that enters it
-                step = frontier & ~used
-                back = frontier & used
-                while back:
-                    low = back & -back
-                    step |= prv[low.bit_length() - 1]
-                    back ^= low
-                step &= ~seen_out
-                seen_out |= step
-                layers.append(step)
-                if step & into_t:
-                    break
-                # an out-node reaches all its successors' in-nodes, and a
-                # used vertex's own in-node backwards
-                reach = step & used
-                while step:
-                    low = step & -step
-                    reach |= succ[low.bit_length() - 1]
-                    step ^= low
-                frontier = reach & ~seen_in
-                seen_in |= frontier
-                layers.append(frontier)
-            else:
-                return value, seen_out
-            # augment along the path rebuilt from t back through the layers
-            # (the out-node of u is entered only from u's in-node when u is
-            # free, and only from nxt[u]'s in-node when u is used)
-            v = t
-            for i in range(len(layers) - 1, 0, -2):
-                feeders = layers[i] & pred[v]
-                if feeders:
-                    u = (feeders & -feeders).bit_length() - 1
-                    prv[v] = 1 << u
-                    if used >> u & 1:
-                        v, nxt[u] = nxt[u], v
-                    else:
-                        used |= 1 << u
-                        nxt[u], v = v, u
+    The source node reaches the in-nodes of `first`.  It is s's out-node
+    when origin is 1 << s and first is s's successors (the caller ensures
+    t is not one of them); with origin 0 it is a super-source outside V
+    joined to the in-nodes of the sources `first`, which t must not be
+    among."""
+    n, into_t = len(succ), pred[t]
+    # the paths of length 2, all at once; their entries below are the
+    # defaults, and every other entry is written before it is read
+    used = first & into_t
+    value = used.bit_count()
+    prv, nxt = [origin] * n, [t] * n
+    while True:
+        # breadth-first search in alternating layers of in-nodes and
+        # out-nodes; once t is out of reach, the out-nodes reached are
+        # the minimal source side
+        layers = [first]
+        seen_in = frontier = first
+        seen_out = origin
+        while frontier:
+            # a free in-node crosses its own arc, a used one steps back
+            # along the flow arc that enters it
+            step = frontier & ~used
+            back = frontier & used
+            while back:
+                low = back & -back
+                step |= prv[low.bit_length() - 1]
+                back ^= low
+            step &= ~seen_out
+            seen_out |= step
+            layers.append(step)
+            if step & into_t:
+                break
+            # an out-node reaches all its successors' in-nodes, and a
+            # used vertex's own in-node backwards
+            reach = step & used
+            while step:
+                low = step & -step
+                reach |= succ[low.bit_length() - 1]
+                step ^= low
+            frontier = reach & ~seen_in
+            seen_in |= frontier
+            layers.append(frontier)
+        else:
+            return value, seen_out
+        # augment along the path rebuilt from t back through the layers
+        # (the out-node of u is entered only from u's in-node when u is
+        # free, and only from nxt[u]'s in-node when u is used)
+        v = t
+        for i in range(len(layers) - 1, 0, -2):
+            feeders = layers[i] & pred[v]
+            if feeders:
+                u = (feeders & -feeders).bit_length() - 1
+                prv[v] = 1 << u
+                if used >> u & 1:
+                    v, nxt[u] = nxt[u], v
                 else:
-                    # the path came back down v's own arc: v is freed
-                    used ^= 1 << v
-                    v = nxt[v]
-            prv[v] = origin
-            value += 1
+                    used |= 1 << u
+                    nxt[u], v = v, u
+            else:
+                # the path came back down v's own arc: v is freed
+                used ^= 1 << v
+                v = nxt[v]
+        prv[v] = origin
+        value += 1
 
 
-def _cut_kernels(rel: Relation) -> tuple[_CutKernel, _CutKernel]:
-    """The cut kernels of rel and of its reverse."""
+def _arcs(rel: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The loop-free successor and predecessor masks of rel."""
     loopless = rel.remove_loops()
-    succ, pred = loopless.succ, loopless.reverse().succ
-    return _CutKernel(succ, pred), _CutKernel(pred, succ)
+    return loopless.succ, loopless.reverse().succ
 
 
 def min_separating_set(
@@ -173,8 +166,8 @@ def min_separating_set(
             raise ValueError(f"vertex {v} out of range for n={rel.n}")
     if rel.succ[s] >> t & 1:
         return None
-    forward, _ = _cut_kernels(rel)
-    value, x_bits = forward.cut(forward.succ[s], 1 << s, t)
+    succ, pred = _arcs(rel)
+    value, x_bits = _cut(succ, pred, succ[s], 1 << s, t)
     return value, VertexSet(rel.n, x_bits)
 
 
@@ -184,7 +177,8 @@ def kappa(rel: Relation) -> ConnectivityResult:
 
     If every ordered pair is inseparable (each vertex reaches all others in
     one step) the relation behaves as complete: kappa = n - 1, atoms
-    undefined.  Otherwise two phases of cuts on one kernel per direction:
+    undefined.  Otherwise two phases of `_cut` calls on the loop-free masks,
+    with successors and predecessors swapped for the reverse:
 
     1. kappa (Even's super-source reduction): delta, the least
        |image(v) \\ {v}| over the vertices whose closed successor set is not
@@ -214,27 +208,26 @@ def kappa(rel: Relation) -> ConnectivityResult:
     if n < 2:
         raise ValueError("kappa requires at least 2 vertices")
     full = (1 << n) - 1
-    forward, back = _cut_kernels(rel)
-    succ = forward.succ
+    succ, pred = _arcs(rel)
     degrees = [s.bit_count() for v, s in enumerate(succ) if s | 1 << v != full]
     if not degrees:
         return ConnectivityResult(n - 1, True, None, ())
     delta = min(degrees)
     low = (2 << delta) - 1  # vertices 0..delta
     pair_cuts = {
-        (s, t): forward.cut(succ[s], 1 << s, t)
+        (s, t): _cut(succ, pred, succ[s], 1 << s, t)
         for s in range(delta + 1)
         for t in _iter_bits(low & ~(succ[s] | 1 << s))
     }
     cuts = list(pair_cuts.values())
-    cuts += [forward.cut((1 << j) - 1, 0, j) for j in range(delta + 1, n)]
-    back_cuts = [back.cut((1 << j) - 1, 0, j) for j in range(delta + 1, n)]
+    cuts += [_cut(succ, pred, (1 << j) - 1, 0, j) for j in range(delta + 1, n)]
+    back_cuts = [_cut(pred, succ, (1 << j) - 1, 0, j) for j in range(delta + 1, n)]
     best = min(value for value, _ in cuts + back_cuts)
     sides = {x for value, x in cuts if value == best}
     atom_size = min(
         [x.bit_count() for x in sides]
         + [
-            (full & ~(y | _image_bits(back.succ, y))).bit_count()
+            (full & ~(y | _image_bits(pred, y))).bit_count()
             for value, y in back_cuts
             if value == best
         ]
@@ -244,7 +237,7 @@ def kappa(rel: Relation) -> ConnectivityResult:
         for tried, t in enumerate(_iter_bits(full & ~closed)):
             if tried > atom_size + best - closed.bit_count():
                 break
-            value, x = pair_cuts.get((s, t)) or forward.cut(succ[s], 1 << s, t)
+            value, x = pair_cuts.get((s, t)) or _cut(succ, pred, succ[s], 1 << s, t)
             if value == best:
                 sides.add(x)
                 atom_size = min(atom_size, x.bit_count())
@@ -402,9 +395,7 @@ def check_proposition_basic(
 ) -> PropositionReport:
     """For a point-transitive relation with a(rel) <= a(reverse): the atom
     induces a point-transitive relation and |A| <= kappa."""
-    from .groups import is_point_transitive_brute
-
-    if not certified and not is_point_transitive_brute(rel):
+    if not certified and not groups.is_point_transitive_brute(rel):
         return PropositionReport(False, "not point-transitive")
     value, forward_atoms, reverse_atoms = _atoms_both_ways(rel, engine)
     if not forward_atoms:
@@ -422,5 +413,5 @@ def check_proposition_basic(
         kappa=value,
         atom=atom,
         size_within_kappa=len(atom.set) <= value,
-        induced_transitive=is_point_transitive_brute(induced),
+        induced_transitive=groups.is_point_transitive_brute(induced),
     )

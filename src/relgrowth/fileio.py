@@ -63,7 +63,7 @@ def read_relation(path: str | os.PathLike) -> Relation:
         raise ParseError(path, number, f"negative vertex count: {n}")
     if n > MAX_VERTICES:
         raise ParseError(path, number, f"vertex count {n} exceeds {MAX_VERTICES}")
-    edges = []
+    succ = [0] * n
     for number, text in lines[1:]:
         parts = text.split()
         if len(parts) != 2:
@@ -72,8 +72,8 @@ def read_relation(path: str | os.PathLike) -> Relation:
         v = _parse_int(path, number, parts[1], "vertex")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(path, number, f"arc ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
-    return Relation.from_edges(n, edges)
+        succ[u] |= 1 << v
+    return Relation(n, tuple(succ))
 
 
 def write_relation(path: str | os.PathLike, rel: Relation) -> None:

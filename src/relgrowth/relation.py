@@ -70,9 +70,8 @@ class Relation:
             raise ValueError("vertex count must be nonnegative")
         if len(self.succ) != self.n:
             raise ValueError("successor table length must equal vertex count")
-        full = (1 << self.n) - 1
         for v, s in enumerate(self.succ):
-            if s & ~full:
+            if s >> self.n:
                 raise ValueError(f"successor of vertex {v} out of range")
 
     @classmethod

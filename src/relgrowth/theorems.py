@@ -38,6 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import fileio
 from .groups import (
     BRUTE_LIMIT,
     FiniteGroup,
@@ -692,10 +693,8 @@ def run_family(
     instances: list[list[VerificationReport]] = []
     girth_scans: list[GirthScanResult] = []
     if family == "from_files":
-        from .fileio import read_relation
-
         for path in files:
-            rel = read_relation(path)
+            rel = fileio.read_relation(path)
             if rel.n <= BRUTE_LIMIT and is_point_transitive_brute(rel):
                 certificate = TransitivityCertificate.brute()
             else:

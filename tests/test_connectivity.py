@@ -198,47 +198,50 @@ def super_reference(rel, sources, t):
 
 def count_cuts(monkeypatch):
     calls = []
-    cut = connectivity._CutKernel.cut
+    cut = connectivity._cut
 
-    def counted(kernel, *args):
+    def counted(*args):
         calls.append(args)
-        return cut(kernel, *args)
+        return cut(*args)
 
-    monkeypatch.setattr(connectivity._CutKernel, "cut", counted)
+    monkeypatch.setattr(connectivity, "_cut", counted)
     return calls
 
 
 class TestCutKernel:
     def test_matches_reference_on_corpus(self):
         for rel in oracle_corpus():
-            kernel, _ = connectivity._cut_kernels(rel)
+            succ, pred = connectivity._arcs(rel)
             net = FlowNet(rel)
             for s, t in separable_pairs(rel):
-                assert kernel.cut(kernel.succ[s], 1 << s, t) == net.min_cut(s, t), (rel, s, t)
+                assert connectivity._cut(succ, pred, succ[s], 1 << s, t) == net.min_cut(s, t), (
+                    rel, s, t)
 
     @settings(max_examples=80, deadline=None)
     @given(relations(min_n=2, max_n=9))
     def test_matches_reference_both_directions(self, rel):
-        for kernel, direction in zip(connectivity._cut_kernels(rel), (rel, rel.reverse())):
+        succ, pred = connectivity._arcs(rel)
+        for (out, into), direction in (((succ, pred), rel), ((pred, succ), rel.reverse())):
             net = FlowNet(direction)
             for s, t in separable_pairs(direction):
-                assert kernel.cut(kernel.succ[s], 1 << s, t) == net.min_cut(s, t)
+                assert connectivity._cut(out, into, out[s], 1 << s, t) == net.min_cut(s, t)
 
     def test_path_back_through_a_used_vertex(self):
         # an augmenting path that enters a used vertex at its out-node and
         # leaves down its own arc frees it; rare, found by random search
         rel = Relation(15, (5389, 257, 547, 6148, 51, 1025, 4096, 160, 544, 8197,
                             80, 8868, 20, 160, 2313))
-        kernel, _ = connectivity._cut_kernels(rel)
-        assert kernel.cut(kernel.succ[4], 1 << 4, 13) == FlowNet(rel).min_cut(4, 13)
+        succ, pred = connectivity._arcs(rel)
+        assert connectivity._cut(succ, pred, succ[4], 1 << 4, 13) == FlowNet(rel).min_cut(4, 13)
 
     def test_super_source_matches_extra_vertex_on_corpus(self):
         # the sources kappa uses: every vertex before the target
         for rel in oracle_corpus():
-            kernel, _ = connectivity._cut_kernels(rel)
+            succ, pred = connectivity._arcs(rel)
             for j in range(1, rel.n):
                 sources = (1 << j) - 1
-                assert kernel.cut(sources, 0, j) == super_reference(rel, sources, j), (rel, j)
+                assert connectivity._cut(succ, pred, sources, 0, j) == super_reference(
+                    rel, sources, j), (rel, j)
 
     @settings(max_examples=80, deadline=None)
     @given(relations(min_n=2, max_n=9), st.data())
@@ -246,8 +249,8 @@ class TestCutKernel:
         t = data.draw(st.integers(0, rel.n - 1))
         sources = data.draw(st.integers(1, (1 << rel.n) - 1)) & ~(1 << t)
         if sources:
-            kernel, _ = connectivity._cut_kernels(rel)
-            assert kernel.cut(sources, 0, t) == super_reference(rel, sources, t)
+            succ, pred = connectivity._arcs(rel)
+            assert connectivity._cut(succ, pred, sources, 0, t) == super_reference(rel, sources, t)
 
     @pytest.mark.parametrize("group, gens", [(cyclic(48), [1, 5, 24]), (dihedral(24), [1, 24, 30])])
     def test_flow_budget_atom_size_one(self, monkeypatch, group, gens):

@@ -38,6 +38,9 @@ REFUSALS = {
     "successor-bit-past-n": (
         lambda: Relation(2, (0b100, 0)), "successor of vertex 0 out of range"
     ),
+    "successor-negative-mask": (
+        lambda: Relation(2, (0, -2)), "successor of vertex 1 out of range"
+    ),
     "negative-ball-radius": (
         lambda: CYCLE3.ball(0, -1), "ball radius must be nonnegative"
     ),

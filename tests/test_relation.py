@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,15 @@ class TestConstruction:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             Relation.from_edges(2, [(0, 5)])
+
+    def test_table_check_is_linear_at_cap(self):
+        # one shift per mask keeps the check linear; an (n + 1)-bit
+        # complement per mask makes it quadratic
+        empty = (0,) * MAX_VERTICES
+        start = time.perf_counter()
+        for _ in range(10):
+            Relation(MAX_VERTICES, empty)
+        assert time.perf_counter() - start < 1
 
 
 class TestImage:

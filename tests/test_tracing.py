@@ -38,9 +38,16 @@ def test_tracer_wraps_and_restores_every_name(capsys, tmp_path):
         assert all(getattr(o, a) is not f for (o, a), f in zip(places, originals))
         assert tracing.cli.main(["verify", "circulants", "--max-n", "4"]) == 0
         assert tracing.cli.main(["spheres", str(path), "--j-max", "3"]) == 0
+        # module-level lookups: theorems reads through fileio, connectivity
+        # certifies through groups
+        assert tracing.cli.main(["verify", "from_files", "--files", str(path)]) == 0
+        tracing.connectivity.check_proposition_basic(tracing.fileio.read_relation(path))
     finally:
         tracer.uninstall()
     assert all(getattr(o, a) is f for (o, a), f in zip(places, originals))
     calls = tracer.calls()
-    assert calls["cli.main"] == 2 and calls["theorems.run_family"] == 1
+    assert calls["cli.main"] == 3 and calls["theorems.run_family"] == 2
     assert calls["theorems.scan_girth_bound"] == 3 and calls["relation.image"] > 0
+    assert calls["fileio.read_relation"] == 3
+    assert calls["connectivity.check_proposition_basic"] == 1
+    assert calls["groups.is_point_transitive_brute"] == 3
