@@ -92,12 +92,7 @@ def _cmd_verify(args) -> int:
         key = theorems.FAMILIES[args.family][0]
         params[key] = getattr(args, key)
     run = theorems.run_family(
-        args.family,
-        checks=checks,
-        all_vertices=args.all_vertices,
-        bound_delta=args.bound_delta,
-        files=args.files,
-        **params,
+        args.family, checks=checks, all_vertices=args.all_vertices, files=args.files, **params
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -207,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a newline-delimited JSON report here")
     p.add_argument("--all-vertices", action="store_true",
                    help="check every base vertex, not just vertex 0")
-    p.add_argument("--bound-delta", type=int, default=0,
-                   help="shift the sphere bound (fault-injection testing only)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("zerosum", help="zero-product witness for a group subset")

@@ -159,8 +159,9 @@ class Relation:
     def girth(self) -> int | float:
         """Length of the shortest directed cycle; INFINITE if acyclic.
         A loop gives girth 1.  The k-step images of each vertex are grown
-        until they return to it; once they empty, every vertex they passed
-        reaches no cycle, and later searches drop those vertices."""
+        until they return to it.  Later searches drop the searched vertex,
+        whose shortest cycle is counted, and, once images empty, every
+        vertex they passed, as none of those reaches a cycle."""
         best: int | float = INFINITE
         dead = 0
         for a in range(self.n):
@@ -176,6 +177,7 @@ class Relation:
                     dead |= seen
                     break
                 seen |= bits
+            dead |= 1 << a
             if best == 1:
                 break
         return best

@@ -138,7 +138,8 @@ class GrowthProfile:
 def growth_profile(rel: Relation, v: int) -> GrowthProfile:
     """Grow balls around v while each meets the reverse image of v only in
     v.  Stops at the first failure or at ball stabilization (capped at n).
-    """
+    The relation is reflexive, so B_j, the image of B_(j-1), lies in the
+    image of B_j: each step images only the newest sphere."""
     if not rel.is_reflexive():
         raise ValueError("hypothesis window requires a reflexive relation")
     if not 0 <= v < rel.n:
@@ -148,13 +149,15 @@ def growth_profile(rel: Relation, v: int) -> GrowthProfile:
         if rel.succ[u] >> v & 1:
             rev_bits |= 1 << u
     balls = [1 << v]
+    sphere = balls[0]
     for j in range(1, rel.n + 1):
-        nxt = _image_bits(rel.succ, balls[-1])
+        nxt = balls[-1] | _image_bits(rel.succ, sphere)
         if nxt & rev_bits != 1 << v:
             break
         if nxt == balls[-1]:  # stabilized: the condition persists forever
             balls += [nxt] * (rel.n + 1 - j)
             break
+        sphere = nxt & ~balls[-1]
         balls.append(nxt)
     return GrowthProfile(tuple(balls))
 
@@ -168,14 +171,14 @@ def _require_regular(rel: Relation) -> None:
 
 
 def _size_records(
-    sizes: tuple[int, ...], r: int, bound_delta: int
+    sizes: tuple[int, ...], r: int
 ) -> tuple[tuple[CheckRecord, ...], tuple[CheckRecord, ...]]:
     """The sphere and the ball records of one vertex, from its ball sizes
     |B_0|, ..., |B_max_j| in the hypothesis window of an r-regular
     reflexive relation.  The records are frozen, so callers may share them
     among instances with the same (r, sizes)."""
     sphere = tuple(
-        CheckRecord("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
+        CheckRecord("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1)
         for j in range(1, len(sizes))
     )
     ball = tuple(
@@ -193,7 +196,6 @@ def _instance_reports(
     params: dict,
     checks: tuple[str, ...],
     all_vertices: bool,
-    bound_delta: int,
 ) -> list[VerificationReport]:
     """The main and growth reports of the reflexive closure and the girth
     report of the loopless relation, in that order, for the selected checks
@@ -221,7 +223,7 @@ def _instance_reports(
         vertices = range(rel.n) if all_vertices else range(min(rel.n, 1))
         profiles = [growth_profile(closure, v) for v in vertices]
     records = [
-        _size_records(tuple(b.bit_count() for b in profile.balls), r, bound_delta)
+        _size_records(tuple(b.bit_count() for b in profile.balls), r)
         for profile in profiles
     ]
     caveats = () if certificate.certified else ("uncertified-transitivity",)
@@ -259,18 +261,15 @@ def check_main_theorem(
     rel: Relation,
     certificate: TransitivityCertificate,
     all_vertices: bool = False,
-    bound_delta: int = 0,
 ) -> VerificationReport:
     """Sphere sizes within the hypothesis window must be at least r - 1.
-
-    bound_delta shifts the required bound and exists only so the test suite
-    can demonstrate that r - 1 is the exact constant (fault injection).
-    """
+    The constant is exact: the reflexive directed cycle meets it with
+    equality at every radius of its window."""
     if not rel.is_reflexive():
         raise ValueError("the sphere bound assumes a reflexive relation")
     _require_regular(rel)  # raise here; run_family records a caveat instead
     (report,) = _instance_reports(
-        rel, certificate, "relation", "adhoc", {}, ("main",), all_vertices, bound_delta
+        rel, certificate, "relation", "adhoc", {}, ("main",), all_vertices
     )
     return report
 
@@ -283,7 +282,7 @@ def check_ball_growth(
         raise ValueError("the ball growth bound assumes a reflexive relation")
     _require_regular(rel)
     (report,) = _instance_reports(
-        rel, certificate, "relation", "adhoc", {}, ("growth",), all_vertices, 0
+        rel, certificate, "relation", "adhoc", {}, ("growth",), all_vertices
     )
     return report
 
@@ -294,7 +293,7 @@ def check_girth_bound(rel: Relation, certificate: TransitivityCertificate) -> Ve
     if rel.has_loop():
         raise ValueError("the girth bound assumes a loopless relation")
     _require_regular(rel)
-    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("girth",), False, 0)
+    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("girth",), False)
     return report
 
 
@@ -673,7 +672,6 @@ def run_family(
     family: str,
     checks: Iterable[str] = ALL_CHECKS,
     all_vertices: bool = False,
-    bound_delta: int = 0,
     files: Iterable[str] = (),
     **params,
 ) -> FamilyRun:
@@ -701,8 +699,7 @@ def run_family(
                 certificate = TransitivityCertificate.none()
             instances.append(
                 _instance_reports(
-                    rel, certificate, str(path), family, {}, selected,
-                    all_vertices, bound_delta,
+                    rel, certificate, str(path), family, {}, selected, all_vertices
                 )
             )
     else:
@@ -737,7 +734,7 @@ def run_family(
                 r = len(gens) + 1  # the degree of the reflexive closure
                 records = shared.get((r, sizes))
                 if records is None:
-                    records = shared[r, sizes] = _size_records(sizes, r, bound_delta)
+                    records = shared[r, sizes] = _size_records(sizes, r)
                 reports = [
                     VerificationReport(family, descriptor, info, r, list(records[kind] * vertices))
                     for kind in kinds

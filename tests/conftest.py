@@ -1,9 +1,11 @@
+import contextlib
+import dataclasses
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from relgrowth import Relation, cayley_relation, cyclic
+from relgrowth import Relation, cayley_relation, cyclic, theorems
 from relgrowth.theorems import subsets_of
 
 
@@ -33,6 +35,25 @@ SHARPNESS_CORPUS = [
     Relation.from_edges(6, [(0, 3), (0, 5), (1, 0), (1, 4), (2, 1), (2, 4),
                             (3, 2), (3, 5), (4, 0), (4, 1), (5, 2), (5, 3)]),
 ]
+
+
+@contextlib.contextmanager
+def sphere_bound_shifted(delta):
+    """Fault injection: inside the block every sphere record requires
+    r - 1 + delta.  Both family routes and the CLI look
+    `theorems._size_records` up at call time, so the shift reaches them
+    all, and it shows that r - 1 is the exact constant."""
+    size_records = theorems._size_records
+
+    def shifted(sizes, r):
+        sphere, ball = size_records(sizes, r)
+        return tuple(dataclasses.replace(c, rhs=c.rhs + delta) for c in sphere), ball
+
+    theorems._size_records = shifted
+    try:
+        yield
+    finally:
+        theorems._size_records = size_records
 
 
 @st.composite

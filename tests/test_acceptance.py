@@ -3,7 +3,7 @@
 Each test prints a single PASS line on success; a failed assertion is the
 FAIL signal.  Criteria 1-4 and 7 exercise the theorem-as-oracle harness,
 5-6 the connectivity machinery, 8 the fault-injection sensitivity of the
-sphere bound.
+sphere bound: it shifts the bound through `conftest.sphere_bound_shifted`.
 """
 
 import pytest
@@ -27,7 +27,7 @@ from relgrowth.connectivity import atoms_oracle
 from relgrowth.groups import TransitivityCertificate
 from relgrowth.theorems import subsets_of
 
-from conftest import oracle_corpus
+from conftest import oracle_corpus, sphere_bound_shifted
 
 
 def report(name: str) -> None:
@@ -141,9 +141,11 @@ def test_criterion_7_tightness_z7():
 
 
 def test_criterion_8_fault_injection_sensitivity():
-    weakened = run_family("circulants", max_n=10, checks=("main",), bound_delta=-1)
+    with sphere_bound_shifted(-1):
+        weakened = run_family("circulants", max_n=10, checks=("main",))
     assert weakened.summary["bugs"] == 0 and weakened.summary["failures"] == 0
-    strengthened = run_family("circulants", max_n=10, checks=("main",), bound_delta=1)
+    with sphere_bound_shifted(1):
+        strengthened = run_family("circulants", max_n=10, checks=("main",))
     assert strengthened.summary["failures"] >= 1
     # the failing instances must include a tight one at the true bound
     exact = run_family("circulants", max_n=10, checks=("main",))

@@ -27,7 +27,7 @@ from relgrowth import (
 from relgrowth.cli import main
 from relgrowth.fileio import write_group, write_relation
 
-from conftest import SHARPNESS_CORPUS
+from conftest import SHARPNESS_CORPUS, sphere_bound_shifted
 
 
 @pytest.fixture
@@ -216,10 +216,39 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_fault_injection_exit_codes(self):
-        assert main(["verify", "circulants", "--max-n", "6", "--checks", "main",
-                     "--bound-delta", "-1"]) == 0
-        assert main(["verify", "circulants", "--max-n", "6", "--checks", "main",
-                     "--bound-delta", "1"]) == 1
+        with sphere_bound_shifted(-1):
+            assert main(["verify", "circulants", "--max-n", "6", "--checks", "main"]) == 0
+        with sphere_bound_shifted(1):
+            assert main(["verify", "circulants", "--max-n", "6", "--checks", "main"]) == 1
+
+    def test_shifted_bound_fails_on_exactly_the_tight_records(self, tmp_path):
+        exact, shifted = tmp_path / "exact.ndjson", tmp_path / "shifted.ndjson"
+        argv = ["verify", "circulants", "--max-n", "6", "--checks", "main", "--report"]
+        assert run_quietly(argv + [str(exact)])[0] == 0
+        with sphere_bound_shifted(1):
+            code, out, err = run_quietly(argv + [str(shifted)])
+        assert code == 1 and err == ""
+        assert out == verify_summary(
+            "circulants {'max_n': 6}", instances=57, checks=36, failures=36, bugs=36
+        )
+
+        def sphere_records(path, keep):
+            return [
+                (report["instance"], c["index"], c["lhs"])
+                for report in map(json.loads, path.read_text().splitlines())
+                for c in report["checks"]
+                if c["claim"] == "sphere-lower-bound" and keep(c)
+            ]
+
+        tight = sphere_records(exact, lambda c: c["tight"])
+        assert len(tight) == 36
+        assert sphere_records(shifted, lambda c: not c["pass"]) == tight
+
+    def test_bound_shift_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "circulants", "--bound-delta", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound-delta 1" in capsys.readouterr().err
 
     def test_girth_scan_bound_exit_two(self, capsys, monkeypatch):
         # Z11 is the first circulant with more than 100 inverse-free sets

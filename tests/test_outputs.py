@@ -45,7 +45,6 @@ COMMANDS = [
     "verify circulants --max-n 7 --report circ.ndjson",
     "verify circulants --max-n 9 --checks girth --report girth.ndjson",
     "verify circulants --max-n 6 --all-vertices --report allv.ndjson",
-    "verify circulants --max-n 6 --checks main --bound-delta 1 --report delta.ndjson",
     "verify cayley_abelian --max-order 8 --report abelian.ndjson",
     "verify cayley_abelian --max-order 12 --checks girth --report abelian_girth.ndjson",
     "verify cayley_dihedral --max-m 4 --report dihedral.ndjson",

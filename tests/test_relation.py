@@ -166,6 +166,22 @@ class TestGirth:
         rel, _ = cayley_relation(cyclic(7), [1, 2])
         assert rel.girth() == 4
 
+    @staticmethod
+    def count_image_steps(monkeypatch, limit):
+        """Count `relation._image_bits` calls in a one-element list, and
+        stop the search once they pass `limit`."""
+        calls = [0]
+        image_bits = relation._image_bits
+
+        def counted(succ, bits):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise AssertionError(f"more than {limit} image steps")
+            return image_bits(succ, bits)
+
+        monkeypatch.setattr(relation, "_image_bits", counted)
+        return calls
+
     @pytest.mark.parametrize("arcs", ["none", "path", "reversed path"])
     def test_acyclic_at_file_cap_in_linear_steps(self, monkeypatch, arcs):
         # a search whose image empties drops every vertex it passed from
@@ -174,17 +190,19 @@ class TestGirth:
         steps = {"none": [], "path": [(v, v + 1) for v in range(n - 1)],
                  "reversed path": [(v + 1, v) for v in range(n - 1)]}[arcs]
         rel = Relation.from_edges(n, steps)
-        calls = 0
-        image_bits = relation._image_bits
-
-        def counted(succ, bits):
-            nonlocal calls
-            calls += 1
-            return image_bits(succ, bits)
-
-        monkeypatch.setattr(relation, "_image_bits", counted)
+        calls = self.count_image_steps(monkeypatch, 2 * n)
         assert rel.girth() == INFINITE
-        assert calls <= 2 * n
+        assert calls[0] <= 2 * n
+
+    def test_long_cycle_at_file_cap_in_linear_steps(self, monkeypatch):
+        # each searched vertex is dropped from the later searches: the
+        # n-cycle takes 3n - 3 steps, where searching every vertex to the
+        # best length found takes about n^2 / 2
+        n = MAX_VERTICES
+        rel = cycle(n)
+        calls = self.count_image_steps(monkeypatch, 3 * n)
+        assert rel.girth() == n
+        assert calls[0] <= 3 * n
 
 
 class TestRestriction:

@@ -33,7 +33,7 @@ from relgrowth.cli import main
 from relgrowth.fileio import write_relation
 from relgrowth.theorems import GrowthProfile, subsets_of
 
-from conftest import SHARPNESS_CORPUS, random_relation, relations
+from conftest import SHARPNESS_CORPUS, random_relation, relations, sphere_bound_shifted
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -49,6 +49,24 @@ class TestHypothesisWindow:
     def test_circulant_z12(self):
         rel, _ = cayley_relation(cyclic(12), [0, 1, 2])
         assert growth_profile(rel, 0).max_j == 4
+
+    def test_steps_image_only_the_newest_sphere(self, monkeypatch):
+        # each step images the newest sphere, not the whole ball, so the
+        # vertices imaged sum to about n, not about n^2 / 2
+        n = 4000
+        imaged = 0
+        image_bits = theorems._image_bits
+
+        def counted(succ, bits):
+            nonlocal imaged
+            imaged += bits.bit_count()
+            if imaged > 2 * n:
+                raise AssertionError(f"more than {2 * n} vertices imaged")
+            return image_bits(succ, bits)
+
+        monkeypatch.setattr(theorems, "_image_bits", counted)
+        assert growth_profile(reflexive_cycle(n), 0).max_j == n - 2
+        assert imaged <= 2 * n
 
     def test_identity_relation_caps_at_n(self):
         assert growth_profile(Relation.identity(6), 0).max_j == 6
@@ -110,14 +128,14 @@ class TestGrowthWalkOracle:
             ]
 
     @settings(max_examples=150, deadline=None)
-    @given(regular_reflexive(), st.booleans(), st.sampled_from((-1, 0, 1)))
-    def test_records_match_naive(self, rel, all_vertices, bound_delta):
+    @given(regular_reflexive(), st.booleans())
+    def test_records_match_naive(self, rel, all_vertices):
         r = rel.regular_degree()
         main, growth = [], []
         for v in range(rel.n) if all_vertices else (0,):
             sizes = [len(rel.ball(v, j)) for j in range(naive_window(rel, v) + 1)]
             main += [
-                ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1 + bound_delta)
+                ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1)
                 for j in range(1, len(sizes))
             ]
             growth += [
@@ -125,9 +143,7 @@ class TestGrowthWalkOracle:
                 for j, size in enumerate(sizes)
             ]
         certificate = TransitivityCertificate.none()
-        main_report = check_main_theorem(
-            rel, certificate, all_vertices=all_vertices, bound_delta=bound_delta
-        )
+        main_report = check_main_theorem(rel, certificate, all_vertices=all_vertices)
         growth_report = check_ball_growth(rel, certificate, all_vertices=all_vertices)
         assert [(c.claim, c.index, c.lhs, c.rhs) for c in main_report.checks] == main
         assert [(c.claim, c.index, c.lhs, c.rhs) for c in growth_report.checks] == growth
@@ -174,8 +190,10 @@ class TestMainTheorem:
 
     def test_fault_injection_bounds(self):
         rel = reflexive_cycle(7)
-        weak = check_main_theorem(rel, CAYLEY, bound_delta=-1)
-        strong = check_main_theorem(rel, CAYLEY, bound_delta=1)
+        with sphere_bound_shifted(-1):
+            weak = check_main_theorem(rel, CAYLEY)
+        with sphere_bound_shifted(1):
+            strong = check_main_theorem(rel, CAYLEY)
         assert not weak.failures
         assert strong.failures  # r-1 is exact on the directed cycle
 
@@ -618,27 +636,25 @@ class TestBallWalk:
     replaced: one Cayley relation per generator set through
     `_instance_reports`, with one growth profile per base vertex."""
 
-    @pytest.mark.parametrize("bound_delta", [-1, 0, 1])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
     @pytest.mark.parametrize("all_vertices", [False, True])
-    def test_reports_match_per_set_route(self, monkeypatch, all_vertices, bound_delta):
+    def test_reports_match_per_set_route(self, monkeypatch, all_vertices, delta):
         monkeypatch.setattr(theorems, "_family_groups", lambda family, params: BALL_CORPUS)
-        run = run_family(
-            "circulants", checks=("main", "growth"), all_vertices=all_vertices,
-            bound_delta=bound_delta,
-        )
-        expected = [
-            theorems._instance_reports(
-                *cayley_relation(group, gens),
-                f"Cay({group.name},{list(gens)})", "circulants",
-                {"group": group.name, "gens": list(gens)}, ("main", "growth"),
-                all_vertices, bound_delta,
-            )
-            for group in BALL_CORPUS
-            for gens in subsets_of(range(1, group.n))
-        ]
+        with sphere_bound_shifted(delta):
+            run = run_family("circulants", checks=("main", "growth"), all_vertices=all_vertices)
+            expected = [
+                theorems._instance_reports(
+                    *cayley_relation(group, gens),
+                    f"Cay({group.name},{list(gens)})", "circulants",
+                    {"group": group.name, "gens": list(gens)}, ("main", "growth"),
+                    all_vertices,
+                )
+                for group in BALL_CORPUS
+                for gens in subsets_of(range(1, group.n))
+            ]
         assert run.reports == [r for instance in expected for r in instance]
         assert run.summary == reference_summarize(expected)
-        assert (run.summary["failures"] > 0) == (bound_delta == 1)
+        assert (run.summary["failures"] > 0) == (delta == 1)
 
     def test_window_ends_at_girth_minus_two(self):
         # the walk ends each window by the hypothesis, not from the girth;
