@@ -42,8 +42,8 @@ def _print_fragment(label: str, fragment: connectivity.Fragment) -> None:
 
 
 def _cmd_kappa(args) -> int:
-    """kappa and the atoms, or with `atoms -v V` the least atom containing
-    V; --oracle then checks kappa and the whole atom set against the
+    """kappa and the atoms, or with `-v V` the least atom containing V;
+    --oracle then checks kappa and the whole atom set against the
     brute-force oracle."""
     rel = fileio.read_relation(args.relation)
     v = args.vertex
@@ -91,9 +91,7 @@ def _cmd_verify(args) -> int:
     if args.family in theorems.FAMILIES:
         key = theorems.FAMILIES[args.family][0]
         params[key] = getattr(args, key)
-    run = theorems.run_family(
-        args.family, checks=checks, all_vertices=args.all_vertices, files=args.files, **params
-    )
+    run = theorems.run_family(args.family, checks=checks, files=args.files, **params)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             for report in run.reports:
@@ -174,15 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=int, default=10)
     p.set_defaults(func=_cmd_spheres)
 
-    for name in ("kappa", "atoms"):
-        p = sub.add_parser(name, help=f"connectivity and atoms ({name})")
-        p.add_argument("relation", help=".rel file")
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check against the brute-force oracle")
-        if name == "atoms":
-            p.add_argument("-v", "--vertex", type=int, default=None,
-                           help="print the atom containing this vertex")
-        p.set_defaults(func=_cmd_kappa, vertex=None)
+    p = sub.add_parser("kappa", help="connectivity and atoms")
+    p.add_argument("relation", help=".rel file")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check against the brute-force oracle")
+    p.add_argument("-v", "--vertex", type=int, default=None,
+                   help="print the atom containing this vertex")
+    p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("girth", help="shortest directed cycle length")
     p.add_argument("relation", help=".rel file")
@@ -200,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
     p.add_argument("--files", nargs="*", default=[], help="for from_files")
     p.add_argument("--report", help="write a newline-delimited JSON report here")
-    p.add_argument("--all-vertices", action="store_true",
-                   help="check every base vertex, not just vertex 0")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("zerosum", help="zero-product witness for a group subset")

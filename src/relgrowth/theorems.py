@@ -13,11 +13,11 @@ equal to the identity, and its sequence is the zero-product witness.
 
 `_size_records` is the one source of sphere and ball records: it reads
 them off the ball sizes of a hypothesis window.  `_instance_reports` builds
-the records of one relation; it makes the reflexive closure once and walks
-each base vertex once.  `run_family` sends every relation file through it,
-and `check_main_theorem`, `check_ball_growth` and `check_girth_bound` are
-fronts for a single relation: each checks its preconditions, then returns
-the core's one report.
+the records of one relation at vertex 0; it makes the reflexive closure
+once and walks it at most once.  `run_family` sends every relation file
+through it, and `check_main_theorem`, `check_ball_growth` and
+`check_girth_bound` are fronts for a single relation: each checks its
+preconditions, then returns the core's one report.
 
 The generator sets of a group build no relation: one batched walk per group
 (`_walk`, over the one kernel `_block_windows`) takes each S as a 64-bit
@@ -195,12 +195,13 @@ def _instance_reports(
     family: str,
     params: dict,
     checks: tuple[str, ...],
-    all_vertices: bool,
 ) -> list[VerificationReport]:
     """The main and growth reports of the reflexive closure and the girth
     report of the loopless relation, in that order, for the selected checks
-    among those three.  Main and growth read one growth profile per base
-    vertex, and the girth window is read from vertex 0's.
+    among those three.  All three read vertex 0's growth profile, walked at
+    most once, and only when main or growth is selected or the girth is
+    finite.  On a point-transitive instance every vertex has vertex 0's
+    balls, so vertex 0 stands for all of them.
 
     The girth check retraces the reduction to the ball bound: adjoin all
     loops, then the (g-2)-ball around a vertex still meets the reverse
@@ -218,22 +219,17 @@ def _instance_reports(
             for claim in checks
             if claim in ("main", "growth", "girth")
         ]
-    profiles = []
-    if "main" in checks or "growth" in checks:
-        vertices = range(rel.n) if all_vertices else range(min(rel.n, 1))
-        profiles = [growth_profile(closure, v) for v in vertices]
-    records = [
-        _size_records(tuple(b.bit_count() for b in profile.balls), r)
-        for profile in profiles
-    ]
+    profile = None
+    records: tuple = ((), ())  # a relation on no vertices has no records
+    if rel.n and ("main" in checks or "growth" in checks):
+        profile = growth_profile(closure, 0)
+        records = _size_records(tuple(b.bit_count() for b in profile.balls), r)
     caveats = () if certificate.certified else ("uncertified-transitivity",)
-    reports = []
-    for claim, kind in (("main", 0), ("growth", 1)):
-        if claim in checks:
-            report = VerificationReport(family, descriptor, params, r, caveats=caveats)
-            for vertex_records in records:
-                report.checks.extend(vertex_records[kind])
-            reports.append(report)
+    reports = [
+        VerificationReport(family, descriptor, params, r, list(records[kind]), caveats=caveats)
+        for kind, claim in enumerate(("main", "growth"))
+        if claim in checks
+    ]
     if "girth" in checks:
         loopless = rel.remove_loops()
         degree = loopless.regular_degree()
@@ -245,7 +241,7 @@ def _instance_reports(
         else:
             g = int(g)
             report.witnesses["girth"] = g
-            max_j = (profiles[0] if profiles else growth_profile(closure, 0)).max_j
+            max_j = (profile or growth_profile(closure, 0)).max_j
             report.witnesses["window_max_j"] = max_j
             if certificate.certified and max_j != g - 2:
                 side = "below" if max_j < g - 2 else "above"
@@ -257,33 +253,23 @@ def _instance_reports(
     return reports
 
 
-def check_main_theorem(
-    rel: Relation,
-    certificate: TransitivityCertificate,
-    all_vertices: bool = False,
-) -> VerificationReport:
+def check_main_theorem(rel: Relation, certificate: TransitivityCertificate) -> VerificationReport:
     """Sphere sizes within the hypothesis window must be at least r - 1.
     The constant is exact: the reflexive directed cycle meets it with
     equality at every radius of its window."""
     if not rel.is_reflexive():
         raise ValueError("the sphere bound assumes a reflexive relation")
     _require_regular(rel)  # raise here; run_family records a caveat instead
-    (report,) = _instance_reports(
-        rel, certificate, "relation", "adhoc", {}, ("main",), all_vertices
-    )
+    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("main",))
     return report
 
 
-def check_ball_growth(
-    rel: Relation, certificate: TransitivityCertificate, all_vertices: bool = False
-) -> VerificationReport:
+def check_ball_growth(rel: Relation, certificate: TransitivityCertificate) -> VerificationReport:
     """Ball sizes within the hypothesis window must be at least 1 + (r-1)j."""
     if not rel.is_reflexive():
         raise ValueError("the ball growth bound assumes a reflexive relation")
     _require_regular(rel)
-    (report,) = _instance_reports(
-        rel, certificate, "relation", "adhoc", {}, ("growth",), all_vertices
-    )
+    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("growth",))
     return report
 
 
@@ -293,7 +279,7 @@ def check_girth_bound(rel: Relation, certificate: TransitivityCertificate) -> Ve
     if rel.has_loop():
         raise ValueError("the girth bound assumes a loopless relation")
     _require_regular(rel)
-    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("girth",), False)
+    (report,) = _instance_reports(rel, certificate, "relation", "adhoc", {}, ("girth",))
     return report
 
 
@@ -671,7 +657,6 @@ def _summarize(
 def run_family(
     family: str,
     checks: Iterable[str] = ALL_CHECKS,
-    all_vertices: bool = False,
     files: Iterable[str] = (),
     **params,
 ) -> FamilyRun:
@@ -697,11 +682,7 @@ def run_family(
                 certificate = TransitivityCertificate.brute()
             else:
                 certificate = TransitivityCertificate.none()
-            instances.append(
-                _instance_reports(
-                    rel, certificate, str(path), family, {}, selected, all_vertices
-                )
-            )
+            instances.append(_instance_reports(rel, certificate, str(path), family, {}, selected))
     else:
         per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
         # refuse an oversized family before the first group is scanned
@@ -725,9 +706,6 @@ def run_family(
                 girth_scans.append(scan_girth_bound(group))
             if not per_subset:
                 continue
-            # left translations are automorphisms, so every base vertex has
-            # vertex 0's window and records
-            vertices = group.n if all_vertices else 1
             for gens, sizes in _window_sizes(group):
                 descriptor = f"Cay({group.name},{gens})"
                 info = {"group": group.name, "gens": gens}
@@ -736,7 +714,7 @@ def run_family(
                 if records is None:
                     records = shared[r, sizes] = _size_records(sizes, r)
                 reports = [
-                    VerificationReport(family, descriptor, info, r, list(records[kind] * vertices))
+                    VerificationReport(family, descriptor, info, r, list(records[kind]))
                     for kind in kinds
                 ]
                 if "zerosum" in per_subset:

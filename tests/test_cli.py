@@ -107,7 +107,7 @@ class TestKappaCommand:
         rel = Relation.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         path = tmp_path / "c6.rel"
         write_relation(path, rel.reflexive_closure())
-        assert main(["atoms", str(path), "-v", "3"]) == 0
+        assert main(["kappa", str(path), "-v", "3"]) == 0
         assert "set=[3]" in capsys.readouterr().out
 
     def test_atom_containing_with_oracle(self, tmp_path, capsys, monkeypatch):
@@ -132,7 +132,7 @@ class TestKappaCommand:
             path = str(tmp_path / f"{name}.rel")
             for extra, line in (([], ""), (["--oracle"], oracle_line)):
                 runs.clear()
-                assert main(["atoms", path, "-v", vertex, *extra]) == code
+                assert main(["kappa", path, "-v", vertex, *extra]) == code
                 assert capsys.readouterr() == (out + line, err), (name, extra)
                 assert len(runs) == (vertex != "6")  # kappa runs once, after the range check
 
@@ -140,9 +140,9 @@ class TestKappaCommand:
         rel, _ = cayley_relation(cyclic(15), [0, 1])
         path = tmp_path / "c.rel"
         write_relation(path, rel)
-        assert main(["atoms", str(path), "-v", "0"]) == 0
+        assert main(["kappa", str(path), "-v", "0"]) == 0
         capsys.readouterr()
-        assert main(["atoms", str(path), "-v", "0", "--oracle"]) == 2
+        assert main(["kappa", str(path), "-v", "0", "--oracle"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: oracle refused: n=15 exceeds limit 14\n"
@@ -158,7 +158,7 @@ class TestKappaCommand:
             return dataclasses.replace(result, atoms=result.atoms[:1])
 
         monkeypatch.setattr(connectivity, "kappa", first_atom_only)
-        assert main(["atoms", str(path), "-v", "0", "--oracle"]) == 1
+        assert main(["kappa", str(path), "-v", "0", "--oracle"]) == 1
         assert capsys.readouterr().out == (
             "atom containing 0: set=[0] boundary=[1] value=1\n"
             "oracle kappa = 1: DISAGREE\n"
@@ -250,6 +250,20 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --bound-delta 1" in capsys.readouterr().err
 
+    def test_all_vertices_is_not_an_option(self, capsys):
+        # every check reads vertex 0 alone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "circulants", "--all-vertices"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --all-vertices" in capsys.readouterr().err
+
+    def test_atoms_is_not_a_command(self, reflexive_cycle7, capsys):
+        # `kappa F -v V` prints the atom containing V
+        with pytest.raises(SystemExit) as exc:
+            main(["atoms", reflexive_cycle7, "-v", "0"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'atoms'" in capsys.readouterr().err
+
     def test_girth_scan_bound_exit_two(self, capsys, monkeypatch):
         # Z11 is the first circulant with more than 100 inverse-free sets
         monkeypatch.setattr(theorems, "MAX_ENUMERATED_INSTANCES", 100)
@@ -318,7 +332,7 @@ class TestVerifyCommand:
             tight_checks=3,
         ) + 2 * caveat
 
-    @pytest.mark.parametrize("mode", [[], ["--all-vertices"], ["--checks", "girth"]])
+    @pytest.mark.parametrize("mode", [[], ["--checks", "girth"]])
     def test_from_files_zero_vertices(self, tmp_path, capsys, mode):
         path, report = tmp_path / "empty.rel", tmp_path / "out.ndjson"
         path.write_text("0\n")

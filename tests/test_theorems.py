@@ -22,6 +22,7 @@ from relgrowth import (
     dihedral,
     direct_product,
     growth_profile,
+    is_point_transitive_brute,
     run_family,
     scan_girth_bound,
     shortest_zero_product_oracle,
@@ -33,7 +34,13 @@ from relgrowth.cli import main
 from relgrowth.fileio import write_relation
 from relgrowth.theorems import GrowthProfile, subsets_of
 
-from conftest import SHARPNESS_CORPUS, random_relation, relations, sphere_bound_shifted
+from conftest import (
+    SHARPNESS_CORPUS,
+    oracle_corpus,
+    random_relation,
+    relations,
+    sphere_bound_shifted,
+)
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -128,23 +135,21 @@ class TestGrowthWalkOracle:
             ]
 
     @settings(max_examples=150, deadline=None)
-    @given(regular_reflexive(), st.booleans())
-    def test_records_match_naive(self, rel, all_vertices):
+    @given(regular_reflexive())
+    def test_records_match_naive(self, rel):
         r = rel.regular_degree()
-        main, growth = [], []
-        for v in range(rel.n) if all_vertices else (0,):
-            sizes = [len(rel.ball(v, j)) for j in range(naive_window(rel, v) + 1)]
-            main += [
-                ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1)
-                for j in range(1, len(sizes))
-            ]
-            growth += [
-                ("ball-lower-bound", j, size, 1 + (r - 1) * j)
-                for j, size in enumerate(sizes)
-            ]
+        sizes = [len(rel.ball(0, j)) for j in range(naive_window(rel, 0) + 1)]
+        main = [
+            ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], r - 1)
+            for j in range(1, len(sizes))
+        ]
+        growth = [
+            ("ball-lower-bound", j, size, 1 + (r - 1) * j)
+            for j, size in enumerate(sizes)
+        ]
         certificate = TransitivityCertificate.none()
-        main_report = check_main_theorem(rel, certificate, all_vertices=all_vertices)
-        growth_report = check_ball_growth(rel, certificate, all_vertices=all_vertices)
+        main_report = check_main_theorem(rel, certificate)
+        growth_report = check_ball_growth(rel, certificate)
         assert [(c.claim, c.index, c.lhs, c.rhs) for c in main_report.checks] == main
         assert [(c.claim, c.index, c.lhs, c.rhs) for c in growth_report.checks] == growth
 
@@ -184,10 +189,6 @@ class TestMainTheorem:
         assert "uncertified-transitivity" in report.caveats
         assert not (report.failures and not report.caveats)
 
-    def test_all_vertices(self):
-        report = check_main_theorem(reflexive_cycle(5), CAYLEY, all_vertices=True)
-        assert len(report.checks) == 5 * 3
-
     def test_fault_injection_bounds(self):
         rel = reflexive_cycle(7)
         with sphere_bound_shifted(-1):
@@ -196,6 +197,36 @@ class TestMainTheorem:
             strong = check_main_theorem(rel, CAYLEY)
         assert not weak.failures
         assert strong.failures  # r-1 is exact on the directed cycle
+
+
+def ball_sizes_at_each_vertex(rel):
+    """The ball sizes of each vertex's growth profile in the reflexive
+    closure, as one set of tuples."""
+    closure = rel.reflexive_closure()
+    return {
+        tuple(b.bit_count() for b in growth_profile(closure, v).balls) for v in range(rel.n)
+    }
+
+
+class TestVertexZeroSuffices:
+    """Every check reads vertex 0 alone: an automorphism of a point-transitive
+    relation takes vertex 0 to any vertex v, and vertex 0's balls to v's, so
+    every vertex has vertex 0's ball sizes."""
+
+    def test_reflexive_cayley_relations(self):
+        count = 0
+        for group in catalog_up_to_order(10):
+            for gens in subsets_of(range(1, group.n)):
+                rel, _ = cayley_relation(group, [0, *gens])
+                assert len(ball_sizes_at_each_vertex(rel)) == 1, (group.name, gens)
+                count += 1
+        assert count == 2229
+
+    def test_certified_oracle_corpus(self):
+        certified = [rel for rel in oracle_corpus() if is_point_transitive_brute(rel)]
+        assert len(certified) == 1051
+        for rel in certified:
+            assert len(ball_sizes_at_each_vertex(rel)) == 1, rel
 
 
 class TestBallGrowth:
@@ -634,20 +665,18 @@ BALL_CORPUS = [g for g in catalog_up_to_order(12) if g.n >= 2]
 class TestBallWalk:
     """The batched walk of the built-in families against the route it
     replaced: one Cayley relation per generator set through
-    `_instance_reports`, with one growth profile per base vertex."""
+    `_instance_reports`, with one growth profile at vertex 0."""
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
-    @pytest.mark.parametrize("all_vertices", [False, True])
-    def test_reports_match_per_set_route(self, monkeypatch, all_vertices, delta):
+    def test_reports_match_per_set_route(self, monkeypatch, delta):
         monkeypatch.setattr(theorems, "_family_groups", lambda family, params: BALL_CORPUS)
         with sphere_bound_shifted(delta):
-            run = run_family("circulants", checks=("main", "growth"), all_vertices=all_vertices)
+            run = run_family("circulants", checks=("main", "growth"))
             expected = [
                 theorems._instance_reports(
                     *cayley_relation(group, gens),
                     f"Cay({group.name},{list(gens)})", "circulants",
                     {"group": group.name, "gens": list(gens)}, ("main", "growth"),
-                    all_vertices,
                 )
                 for group in BALL_CORPUS
                 for gens in subsets_of(range(1, group.n))
@@ -810,14 +839,13 @@ class TestRunFamily:
         assert run.ok and run.summary["instances"] == 0
         assert run.summary["girth_scan_subsets"] == 247
 
-    @pytest.mark.parametrize("all_vertices", [False, True])
-    def test_family_run_builds_no_relation_per_set(self, monkeypatch, all_vertices):
+    def test_family_run_builds_no_relation_per_set(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a family run built a relation for a generator set")
 
         monkeypatch.setattr(theorems, "cayley_relation", refuse)
         monkeypatch.setattr(theorems, "growth_profile", refuse)
-        run = run_family("circulants", max_n=8, all_vertices=all_vertices)
+        run = run_family("circulants", max_n=8)
         assert run.ok and run.summary["instances"] == 247
         assert run.summary["girth_scan_subsets"] == 247
 
@@ -840,6 +868,16 @@ class TestRunFamily:
         )
         assert main(["verify", "from_files", "--files", *paths]) == 0
         assert calls == [0] * len(paths)
+        # a girth-only run walks vertex 0 once per cyclic file, and never
+        # on an acyclic one; a regular acyclic relation has no arcs
+        calls.clear()
+        assert main(["verify", "from_files", "--files", *paths, "--checks", "girth"]) == 0
+        assert calls == [0] * len(paths)
+        calls.clear()
+        acyclic = str(tmp_path / "arcfree.rel")
+        write_relation(acyclic, Relation.from_edges(3, []))
+        assert main(["verify", "from_files", "--files", acyclic, "--checks", "girth"]) == 0
+        assert calls == []
 
 
 class TestBugRoutes:
