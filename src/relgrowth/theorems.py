@@ -8,8 +8,9 @@ aggregate into machine-readable reports.
 All the bounds follow from one sphere bound, and each quantity has one
 route.  `growth_profile` walks the balls around a vertex once, to the end
 of the hypothesis window, and the sphere, ball and girth-window records are
-read from it.  `_shortest_return` is the one search for a shortest product
-equal to the identity, and its sequence is the zero-product witness.
+read from it.  `_shortest_return` is the breadth-first search for a
+shortest product equal to the identity: it backs `zero_product_witness`
+(the CLI `zerosum` command) and is the test oracle of the walks below.
 
 `_size_records` is the one source of sphere and ball records: it reads
 them off the ball sizes of a hypothesis window.  `_instance_reports` builds
@@ -21,20 +22,24 @@ preconditions, then returns the core's one report.
 
 The generator sets of a group build no relation: one batched walk per group
 (`_walk`, over the one kernel `_block_windows`) takes each S as a 64-bit
-mask to the hypothesis window around e of Cay(G, S + {e}).  A family run
-reads each set's members off its mask and its records off its ball sizes;
-left translations, being automorphisms, give every other base vertex the
-same records.  The girth bound reduces to the ball bound: adjoin every
-loop, and the window ends at g - 2.  So the girth scan reads each
-inverse-free set's girth off the same walk, as the window end plus 2, and
-`_shortest_return` is its test oracle: the girths agree set by set.
+mask to the hypothesis window around e of Cay(G, S + {e}).  Left
+translations, being automorphisms, give every other base vertex the same
+records.  The girth bound reduces to the ball bound: adjoin every loop, and
+the window ends at g - 2.  So the walk knows each set's shortest return,
+of length k = window end + 2: the girth scan reads each inverse-free set's
+girth off it, and a family run reads each set's zero-product witness off
+its balls (`_block_witnesses`).  A family run counts its summary by class,
+the sets with the same records, and builds a set's reports only when they
+are read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,9 +407,11 @@ def _block_windows(
     pick out.  As in `growth_profile`, a window ends before the first ball
     that meets T_b^-1 outside the identity, else at n; closed columns drop
     out.  Returns each column's window end, `growth_profile(Cay(G, T_b),
-    e).max_j`, and per radius j >= 1 the open columns and their j-balls.
-    Any reflexive relations given the same way, by each vertex's successors
-    and the reverse image of vertex 0, walk alike from 0.
+    e).max_j`, and per radius j >= 1 the columns whose window reached j - 1
+    and their j-balls: a column's last ball is the one that ends its
+    window, B_(k-1) for its shortest return of length k.  Any reflexive
+    relations given the same way, by each vertex's successors and the
+    reverse image of vertex 0, walk alike from 0.
     """
     n, count = translates.shape[0] - 1, translates.shape[1]
     ends = np.full(count, n)
@@ -414,6 +421,7 @@ def _block_windows(
     for j in range(1, n + 1):
         if j > 1:
             ball = _block_image(ball, translates)
+        layers.append((columns, ball))
         closed = (ball & translates[n]) != 1
         if closed.any():
             ends[columns[closed]] = j - 1
@@ -421,7 +429,6 @@ def _block_windows(
             if not keep.any():
                 break
             columns, translates, ball = columns[keep], translates[:, keep], ball[keep]
-        layers.append((columns, ball))
     return ends, layers
 
 
@@ -457,12 +464,14 @@ def _walk(
         yield (translates[0] ^ 1, *_block_windows(translates))
 
 
-def _ball_sizes(ends: np.ndarray, layers: list) -> list[tuple[int, ...]]:
-    """Each column's ball sizes |B_0|, ..., |B_end| from `_block_windows`."""
-    sizes = np.ones((len(layers) + 1, len(ends)), dtype=np.int64)
-    for j, (columns, balls) in enumerate(layers, 1):
-        sizes[j, columns] = np.bitwise_count(balls)
-    return [tuple(s[: end + 1]) for s, end in zip(sizes.T.tolist(), ends.tolist())]
+def _ball_matrix(ends: np.ndarray, layers: list) -> np.ndarray:
+    """Row j, column b: column b's j-ball from `_block_windows`, for j up to
+    its window end plus 1; the rows past that are 0."""
+    balls = np.zeros((int(ends.max()) + 2, len(ends)), dtype=np.uint64)
+    balls[0] = 1
+    for j, (columns, ball) in enumerate(layers, 1):
+        balls[j, columns] = ball
+    return balls
 
 
 def _members(masks: np.ndarray, n: int) -> list[list[int]]:
@@ -472,12 +481,77 @@ def _members(masks: np.ndarray, n: int) -> list[list[int]]:
     return [bits[a:b] for a, b in zip([0, *stops], stops)]
 
 
-def _window_sizes(group: FiniteGroup) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """Every nonempty S in G - {e}, as its members read off its walk mask,
-    with the hypothesis-window ball sizes around e in the reflexive
-    Cay(G, S + {e}).  A family run has at most 200 000 sets, so n <= 18."""
+def _subset_windows(group: FiniteGroup) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every nonempty S in G - {e}, a block at a time: the walk masks, the
+    window ends and `_ball_matrix` of the reflexive Cay(G, S + {e}) around
+    e.  A family run has at most 200 000 sets, so n <= 18."""
     for masks, ends, layers in _walk(group, [(s,) for s in range(1, group.n)]):
-        yield from zip(_members(masks, group.n), _ball_sizes(ends, layers))
+        yield masks, ends, _ball_matrix(ends, layers)
+
+
+def _block_witnesses(
+    mul: np.ndarray, masks: np.ndarray, ends: np.ndarray, balls: np.ndarray
+) -> np.ndarray:
+    """Row b: the zero-product witness of S_b, the sequence that
+    `_shortest_return` finds, in its first k_b = ends[b] + 2 entries.
+
+    The search scans the generators in ascending order, so it returns the
+    lexicographically least shortest return.  A prefix p_i = s_1 ... s_i of
+    a return of length k has p_i^-1 at distance exactly k - i from e, else
+    a shorter return exists (so p_i is e only at i = k).  So the greedy
+    takes, at step i, the least s in S with p_i^-1 in B_(k-i); B_(k-1) is
+    the ball that ends the window.  The steps run over the columns in
+    order of decreasing k, so the columns still open are a prefix.  A step
+    that finds no such s takes the least s in S, which leaves a product
+    the caller's check refuses.
+    """
+    n = mul.shape[0]
+    # inverse_bits[g, s]: the bit of (g s)^-1
+    inverse_bits = np.left_shift(np.uint64(1), np.argmin(mul, axis=1)[mul].astype(np.uint64))
+    order = np.argsort(-ends, kind="stable")
+    k = ends[order] + 2
+    steps = int(k[0])
+    members = masks[order, None] >> np.arange(n, dtype=np.uint64) & 1
+    # row i: each column's target at step i + 1, B_(k-i-1)
+    rows = np.maximum(k - 1 - np.arange(steps)[:, None], 0)
+    targets = np.take_along_axis(balls[:, order], rows, axis=0)
+    sequences = np.zeros((len(k), steps), dtype=np.intp)
+    product = np.zeros(len(k), dtype=np.intp)
+    for i, m in enumerate(np.searchsorted(-k, -np.arange(steps)).tolist()):  # m: k > i
+        fits = (inverse_bits[product[:m]] & targets[i, :m, None]) != 0
+        s = np.argmax(members[:m] << fits, axis=1)
+        sequences[:m, i] = s
+        product[:m] = mul[product[:m], s]
+    sequences[order] = sequences.copy()
+    return sequences
+
+
+def _zero_products(
+    group: FiniteGroup, mul: np.ndarray, masks: np.ndarray, ends: np.ndarray, balls: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Per set the row (k, bound, ok): its witness length k = window end +
+    2, its bound ceil(n/|S|) and whether its witness passed both checks;
+    the witnesses, as the rows of `_block_witnesses`; and the error of each
+    set that failed.  The checks are `zero_product_witness`'s: the witness
+    multiplies to the identity, then k <= ceil(n/|S|)."""
+    k = ends + 2
+    sequences = _block_witnesses(mul, masks, ends, balls)
+    # the witness, then the identity
+    padded = np.where(np.arange(sequences.shape[1]) < k[:, None], sequences, 0)
+    product = np.zeros(len(ends), dtype=np.intp)
+    for column in padded.T:
+        product = mul[product, column]
+    size = np.bitwise_count(masks).astype(np.int64)
+    bound = (group.n + size - 1) // size
+    ok = (product == 0) & (k <= bound)
+    errors = {}
+    for i in np.flatnonzero(~ok).tolist():
+        if product[i] != 0:
+            sequence = sequences[i, : k[i]].tolist()
+            errors[i] = f"witness {sequence} does not multiply to the identity"
+        else:
+            errors[i] = f"witness length {k[i]} exceeds ceil({group.n}/{size[i]}) = {bound[i]}"
+    return np.stack([k, bound, ok], axis=1), sequences, errors
 
 
 @dataclass(slots=True)
@@ -541,7 +615,7 @@ def scan_girth_bound(group: FiniteGroup) -> GirthScanResult:
     # itertools.product((0, 1, 2), repeat=len(pairs)) order.  With no pair
     # there is nothing to walk, and a group of order above 64 builds no mask.
     for masks, ends, layers in _walk(group, pairs[::-1]) if pairs else ():
-        if len(layers) == n:  # some window never closed, where g - 2 < n must
+        if len(layers) == n:  # some window reached n - 1, but g <= n ends each by n - 2
             raise BugError(f"identity unreachable over {len(layers[-1][0])} generator sets")
         girths = ends + 2
         rhs = 1 + np.bitwise_count(masks) * (girths - 1)
@@ -601,47 +675,69 @@ ALL_CHECKS = ("main", "growth", "girth", "zerosum")
 
 @dataclass(slots=True)
 class FamilyRun:
+    """The outcome of `run_family`.  `classed_reports()` yields every report
+    with the key of its class: reports with the same key have the same
+    checks, and the key None marks a class of one.  `reports` lists them;
+    a built-in family builds them on first read."""
+
     family: str
     params: dict
-    reports: list[VerificationReport]
     girth_scans: list[GirthScanResult]
     summary: dict
+    _classed: Callable[[], Iterator[tuple[Hashable, VerificationReport]]] = field(
+        compare=False, repr=False
+    )
+    _reports: list[VerificationReport] | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.summary["bugs"] == 0
 
+    @property
+    def reports(self) -> list[VerificationReport]:
+        if self._reports is None:
+            self._reports = [report for _, report in self._classed()]
+        return self._reports
+
+    def classed_reports(self) -> Iterator[tuple[Hashable, VerificationReport]]:
+        return self._classed()
+
 
 def _summarize(
-    instances: list[list[VerificationReport]], girth_scans: list[GirthScanResult]
+    classes: Iterable[tuple[int, list[tuple[Sequence[CheckRecord], tuple[str, ...]]]]],
+    girth_scans: list[GirthScanResult],
 ) -> dict:
-    """Totals over the reports, grouped by the instance they check; each
-    report's checks are read in one pass."""
-    checks = failures = bugs = caveated = tight_checks = tight_instances = 0
-    for instance in instances:
-        caveated += any(r.caveats for r in instance)
-        for r in instance:
-            failed = 0
+    """Totals over the reports, grouped by the instance they check.  A
+    class is `count` instances whose reports have the same checks and
+    caveats, given as one (checks, caveats) pair per report; each class is
+    read in one pass."""
+    instances = checks = failures = bugs = caveated = tight_checks = tight_instances = 0
+    for count, reports in classes:
+        instances += count if reports else 0
+        caveated += count if any(caveats for _, caveats in reports) else 0
+        for records, caveats in reports:
+            failed = tight = 0
             # a tight-growth report has only tight ball records of radius
             # >= 1, and they reach radius 2
             growth_tight, radius = True, 0
-            for c in r.checks:
+            for c in records:
                 if c.lhs < c.rhs:
                     failed += 1
                 elif c.lhs == c.rhs:
-                    tight_checks += 1
+                    tight += 1
                 if c.claim == "ball-lower-bound" and c.index >= 1:
                     growth_tight = growth_tight and c.lhs == c.rhs
                     radius = c.index
-            checks += len(r.checks)
-            failures += failed
-            if not r.caveats:  # violations on uncertified instances are caveats
-                bugs += failed
-            tight_instances += growth_tight and radius >= 2
+            checks += count * len(records)
+            failures += count * failed
+            if not caveats:  # violations on uncertified instances are caveats
+                bugs += count * failed
+            tight_checks += count * tight
+            tight_instances += count if growth_tight and radius >= 2 else 0
     scan_subsets = sum(s.total_subsets for s in girth_scans)
     scan_failures = sum(len(s.failures) for s in girth_scans)
     return {
-        "instances": sum(1 for instance in instances if instance),
+        "instances": instances,
         "checks": checks,
         "failures": failures,
         "bugs": bugs + scan_failures,
@@ -652,6 +748,67 @@ def _summarize(
         "girth_scan_subsets": scan_subsets,
         "girth_scan_tight_subsets": sum(s.tight_subsets for s in girth_scans),
     }
+
+
+def _class_keys(
+    width: int,
+    masks: np.ndarray,
+    ends: np.ndarray,
+    balls: np.ndarray | None,
+    zero: np.ndarray | None,
+) -> list[bytes]:
+    """Each set's class, the bytes of its row: r = |S| + 1, the degree of
+    the reflexive closure; then its (k, bound, ok) row of `_zero_products`,
+    or 0s; then the ball sizes of its window when `balls` is given; then 0s
+    to `width` bytes.  Sets with equal keys have equal records.  A family
+    run has n <= 18, so each value fits a byte."""
+    rows = np.zeros((len(masks), width), dtype=np.uint8)
+    rows[:, 0] = np.bitwise_count(masks) + 1
+    if zero is not None:
+        rows[:, 1:4] = zero
+    if balls is not None:
+        sizes = np.bitwise_count(balls[:-1]).T
+        sizes[np.arange(sizes.shape[1]) > ends[:, None]] = 0
+        rows[:, 4 : 4 + sizes.shape[1]] = sizes
+    return rows.view(f"V{width}").ravel().tolist()
+
+
+def _class_records(key: bytes, kinds: list[int], zerosum: bool) -> list[tuple[CheckRecord, ...]]:
+    """The records of each report of a set of the class `key`, in report
+    order.  A witness that failed its checks gets the zero-product record
+    that always fails."""
+    r, k, bound, ok = key[:4]
+    records = []
+    if kinds:
+        sizes = _size_records(tuple(key[4:].rstrip(b"\0")), r)
+        records += [sizes[kind] for kind in kinds]
+    if zerosum:
+        records.append((CheckRecord("zero-product-bound", *((k, bound, k) if ok else (0, -1, 0))),))
+    return records
+
+
+def _set_reports(
+    family: str, zerosum: bool, blocks: list, records: dict
+) -> Iterator[tuple[Hashable, VerificationReport]]:
+    """Each generator set's reports in walk order, each keyed by its index
+    among the set's reports and the set's class (`_class_keys`), whose
+    `records` hold the checks of each report."""
+    for group, masks, keys, witnesses, errors in blocks:
+        if zerosum:
+            witnesses = witnesses.tolist()
+        for i, gens in enumerate(_members(masks, group.n)):
+            key = keys[i]
+            descriptor = f"Cay({group.name},{gens})"
+            info = {"group": group.name, "gens": gens}
+            checks = records[key]
+            for j in range(len(checks) - zerosum):
+                report = VerificationReport(family, descriptor, info, key[0], list(checks[j]))
+                yield (j, key), report
+            if zerosum:
+                witness = {"sequence": witnesses[i][: key[1]]} if key[3] else {"error": errors[i]}
+                yield (len(checks) - 1, key), VerificationReport(
+                    family, descriptor, info, key[0] - 1, list(checks[-1]), witness
+                )
 
 
 def run_family(
@@ -665,7 +822,9 @@ def run_family(
     An instance is a relation file or a generator subset of a group.  For
     built-in group families the girth bound is verified by the per-group
     scan (aggregate for the girth-2 class, explicit for the inverse-free
-    subsets), and subsets are enumerated only for the other checks.
+    subsets), and subsets are enumerated only for the other checks: one
+    walk per group gives each set's records and zero-product witness, and
+    the summary counts the sets of each class.
     """
     selected = tuple(checks)
     for c in selected:
@@ -673,9 +832,9 @@ def run_family(
             raise ValueError(f"unknown check: {c}")
     # each claim once, in report order, however the caller listed them
     selected = tuple(c for c in ALL_CHECKS if c in selected)
-    instances: list[list[VerificationReport]] = []
     girth_scans: list[GirthScanResult] = []
     if family == "from_files":
+        instances = []
         for path in files:
             rel = fileio.read_relation(path)
             if rel.n <= BRUTE_LIMIT and is_point_transitive_brute(rel):
@@ -683,52 +842,50 @@ def run_family(
             else:
                 certificate = TransitivityCertificate.none()
             instances.append(_instance_reports(rel, certificate, str(path), family, {}, selected))
-    else:
-        per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
-        # refuse an oversized family before the first group is scanned
-        family_groups = []
-        count = 0
-        for group in _family_groups(family, params):
-            if "girth" in selected:
-                _inverse_pairs(group)
-            if per_subset:
-                count += (1 << (group.n - 1)) - 1
-                if count > MAX_ENUMERATED_INSTANCES:
-                    raise ValueError(
-                        f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
-                    )
-            family_groups.append(group)
-        # the sphere (0) and ball (1) records, in report order
-        kinds = [kind for kind, claim in enumerate(("main", "growth")) if claim in per_subset]
-        shared: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        for group in family_groups:
-            if "girth" in selected:
-                girth_scans.append(scan_girth_bound(group))
-            if not per_subset:
-                continue
-            for gens, sizes in _window_sizes(group):
-                descriptor = f"Cay({group.name},{gens})"
-                info = {"group": group.name, "gens": gens}
-                r = len(gens) + 1  # the degree of the reflexive closure
-                records = shared.get((r, sizes))
-                if records is None:
-                    records = shared[r, sizes] = _size_records(sizes, r)
-                reports = [
-                    VerificationReport(family, descriptor, info, r, list(records[kind]))
-                    for kind in kinds
-                ]
-                if "zerosum" in per_subset:
-                    report = VerificationReport(family, descriptor, info, len(gens))
-                    try:
-                        witness = zero_product_witness(group, gens)
-                        report.checks.append(
-                            CheckRecord("zero-product-bound", witness.k, witness.bound, witness.k)
-                        )
-                        report.witnesses["sequence"] = list(witness.sequence)
-                    except BugError as exc:
-                        report.checks.append(CheckRecord("zero-product-bound", 0, -1, 0))
-                        report.witnesses["error"] = str(exc)
-                    reports.append(report)
-                instances.append(reports)
-    reports = [r for instance in instances for r in instance]
-    return FamilyRun(family, dict(params), reports, girth_scans, _summarize(instances, girth_scans))
+        reports = [r for instance in instances for r in instance]
+        classes = [(1, [(r.checks, r.caveats) for r in instance]) for instance in instances]
+        summary = _summarize(classes, girth_scans)
+        # each report is a class of one
+        classed = functools.partial(zip, itertools.repeat(None), reports)
+        return FamilyRun(family, dict(params), girth_scans, summary, classed, reports)
+    per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
+    # refuse an oversized family before the first group is scanned
+    family_groups = []
+    count = 0
+    for group in _family_groups(family, params):
+        if "girth" in selected:
+            _inverse_pairs(group)
+        if per_subset:
+            count += (1 << (group.n - 1)) - 1
+            if count > MAX_ENUMERATED_INSTANCES:
+                raise ValueError(
+                    f"family {family} exceeds {MAX_ENUMERATED_INSTANCES} enumerated instances"
+                )
+        family_groups.append(group)
+    # the sphere (0) and ball (1) records, in report order
+    kinds = [kind for kind, claim in enumerate(("main", "growth")) if claim in per_subset]
+    zerosum = "zerosum" in per_subset
+    width = 4 + max((group.n for group in family_groups), default=0) + 1
+    # per block: the group, the S masks, each set's class, and the witnesses
+    # and errors of `_zero_products`
+    blocks = []
+    counts: Counter = Counter()
+    for group in family_groups:
+        if "girth" in selected:
+            girth_scans.append(scan_girth_bound(group))
+        if not per_subset:
+            continue
+        mul = np.array(group.table, dtype=np.intp) if zerosum else None
+        for masks, ends, balls in _subset_windows(group):
+            zero = witnesses = errors = None
+            if zerosum:
+                zero, witnesses, errors = _zero_products(group, mul, masks, ends, balls)
+            keys = _class_keys(width, masks, ends, balls if kinds else None, zero)
+            counts.update(keys)
+            blocks.append((group, masks, keys, witnesses, errors))
+    records = {key: _class_records(key, kinds, zerosum) for key in counts}
+    classes = [(sets, [(claim, ()) for claim in records[key]]) for key, sets in counts.items()]
+    return FamilyRun(
+        family, dict(params), girth_scans, _summarize(classes, girth_scans),
+        functools.partial(_set_reports, family, zerosum, blocks, records),
+    )

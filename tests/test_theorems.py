@@ -41,6 +41,7 @@ from conftest import (
     relations,
     sphere_bound_shifted,
 )
+from test_outputs import INPUTS
 
 CAYLEY = TransitivityCertificate.cayley()
 
@@ -510,21 +511,28 @@ class TestGirthScan:
     @pytest.mark.parametrize("group", SCAN_CORPUS, ids=lambda g: g.name)
     def test_batched_matches_reference(self, group, monkeypatch):
         # every field equals the per-set reference's, and every set's window
-        # end plus 2 is its shortest return; the kernel sees each set once
+        # end plus 2 is its shortest return, whose sequence the witness
+        # rebuild reads off the same balls; the kernel sees each set once
         seen = []
         kernel = theorems._block_windows
+        mul = np.array(group.table)
 
         def recorded(translates):
             ends, layers = kernel(translates)
-            seen.extend(zip(translates[0].tolist(), (ends + 2).tolist()))
+            masks = translates[0] ^ 1  # the translate of the identity is S + {e}
+            witnesses = theorems._block_witnesses(
+                mul, masks, ends, theorems._ball_matrix(ends, layers))
+            seen.extend(zip(masks.tolist(), (ends + 2).tolist(), witnesses.tolist()))
             return ends, layers
 
         monkeypatch.setattr(theorems, "_block_windows", recorded)
         assert scan_girth_bound(group) == reference_scan_girth_bound(group)
-        assert len({mask for mask, _ in seen}) == len(seen) == 3 ** len(
+        assert len({mask for mask, _, _ in seen}) == len(seen) == 3 ** len(
             theorems._inverse_pairs(group)) - 1
-        for mask, girth in seen:  # the translate of the identity is S + {e}
-            assert girth == len(theorems._shortest_return(group, members(mask ^ 1))), mask
+        for mask, girth, witness in seen:
+            shortest = theorems._shortest_return(group, members(mask))
+            assert girth == len(shortest), mask
+            assert witness[:girth] == shortest, mask
 
     def test_corpus_reaches_bit_63_and_block_boundaries(self, monkeypatch):
         calls = []
@@ -658,26 +666,49 @@ def reference_summarize(instances):
     }
 
 
+def ball_sizes(ends, balls):
+    """Each column's ball sizes |B_0|, ..., |B_end| from `_ball_matrix`."""
+    sizes = np.bitwise_count(balls).T.tolist()
+    return [tuple(s[: end + 1]) for s, end in zip(sizes, ends.tolist())]
+
+
 # every group of order 2..12; the order-12 groups fill two walk blocks
 BALL_CORPUS = [g for g in catalog_up_to_order(12) if g.n >= 2]
+
+
+def reference_zero_product_report(group, gens, family):
+    """The per-set zero-product report that the walk's witnesses replaced,
+    kept as their reference: one `zero_product_witness` search
+    (`_shortest_return`) per set."""
+    witness = zero_product_witness(group, gens)
+    return theorems.VerificationReport(
+        family, f"Cay({group.name},{list(gens)})", {"group": group.name, "gens": list(gens)},
+        len(gens),
+        [theorems.CheckRecord("zero-product-bound", witness.k, witness.bound, witness.k)],
+        {"sequence": list(witness.sequence)},
+    )
 
 
 class TestBallWalk:
     """The batched walk of the built-in families against the route it
     replaced: one Cayley relation per generator set through
-    `_instance_reports`, with one growth profile at vertex 0."""
+    `_instance_reports`, with one growth profile at vertex 0, and one
+    `_shortest_return` search per set for its zero-product witness."""
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_reports_match_per_set_route(self, monkeypatch, delta):
         monkeypatch.setattr(theorems, "_family_groups", lambda family, params: BALL_CORPUS)
         with sphere_bound_shifted(delta):
-            run = run_family("circulants", checks=("main", "growth"))
+            run = run_family("circulants", checks=("main", "growth", "zerosum"))
             expected = [
-                theorems._instance_reports(
-                    *cayley_relation(group, gens),
-                    f"Cay({group.name},{list(gens)})", "circulants",
-                    {"group": group.name, "gens": list(gens)}, ("main", "growth"),
-                )
+                [
+                    *theorems._instance_reports(
+                        *cayley_relation(group, gens),
+                        f"Cay({group.name},{list(gens)})", "circulants",
+                        {"group": group.name, "gens": list(gens)}, ("main", "growth"),
+                    ),
+                    reference_zero_product_report(group, gens, "circulants"),
+                ]
                 for group in BALL_CORPUS
                 for gens in subsets_of(range(1, group.n))
             ]
@@ -690,7 +721,11 @@ class TestBallWalk:
         # the reduction to the ball bound says where that must be; the
         # members read off the walk's masks come in `subsets_of` order
         for group in BALL_CORPUS:
-            windows = list(theorems._window_sizes(group))
+            windows = [
+                window
+                for masks, ends, balls in theorems._subset_windows(group)
+                for window in zip(theorems._members(masks, group.n), ball_sizes(ends, balls))
+            ]
             assert [tuple(gens) for gens, _ in windows] == list(subsets_of(range(1, group.n)))
             for gens, sizes in windows:
                 girth = len(theorems._shortest_return(group, gens))
@@ -708,7 +743,8 @@ class TestBallWalk:
         inverses = np.array([rel.reverse().succ[0] for rel in rels], dtype=np.uint64)
         expected = [tuple(b.bit_count() for b in growth_profile(rel, 0).balls) for rel in rels]
         table = np.vstack([translates, inverses])
-        assert theorems._ball_sizes(*theorems._block_windows(table)) == expected
+        ends, layers = theorems._block_windows(table)
+        assert ball_sizes(ends, theorems._ball_matrix(ends, layers)) == expected
         assert expected[-1] == (1,) * 8
         assert any(len(sizes) == 8 and sizes[-1] > 1 for sizes in expected)
 
@@ -717,7 +753,7 @@ class TestBallWalk:
         kernel = theorems._block_windows
         monkeypatch.setattr(theorems, "_block_windows",
                             lambda t: shapes.append(t.shape) or kernel(t))
-        assert sum(1 for _ in theorems._window_sizes(cyclic(14))) == 2**13 - 1
+        assert sum(len(masks) for masks, _, _ in theorems._subset_windows(cyclic(14))) == 2**13 - 1
         # 14 translate rows and the row of T^-1, 2^10 sets to a block
         assert shapes == [(15, 2**10 - 1)] + [(15, 2**10)] * 7
 
@@ -739,7 +775,8 @@ def test_summary_matches_reference_on_crafted_reports():
          report([(sphere, 1, 0, 1)], caveats=("uncertified-transitivity",))],
         [],
     ]
-    summary = theorems._summarize(instances, [])
+    summary = theorems._summarize(
+        [(1, [(r.checks, r.caveats) for r in instance]) for instance in instances], [])
     assert summary == reference_summarize(instances)
     assert (summary["bugs"], summary["failures"], summary["tight_growth_instances"]) == (1, 2, 1)
 
@@ -834,7 +871,7 @@ class TestRunFamily:
             raise AssertionError("a girth-only run walked generator subsets")
 
         monkeypatch.setattr(theorems, "subsets_of", refuse)
-        monkeypatch.setattr(theorems, "_window_sizes", refuse)
+        monkeypatch.setattr(theorems, "_subset_windows", refuse)
         run = run_family("circulants", max_n=8, checks=("girth",))
         assert run.ok and run.summary["instances"] == 0
         assert run.summary["girth_scan_subsets"] == 247
@@ -880,12 +917,20 @@ class TestRunFamily:
         assert calls == []
 
 
+def last_term_identity(mul, masks, ends, balls, rebuild=theorems._block_witnesses):
+    """The witness rebuild with each witness's last term replaced by the
+    identity, so that no witness multiplies to the identity."""
+    witnesses = rebuild(mul, masks, ends, balls)
+    witnesses[np.arange(len(ends)), ends + 1] = 0
+    return witnesses
+
+
 class TestBugRoutes:
     """The two inconsistencies a run reports as bugs rather than as
     failed checks of a bound."""
 
     def test_witness_not_identity(self, monkeypatch):
-        monkeypatch.setattr(theorems, "_shortest_return", lambda group, gens: [gens[0]])
+        monkeypatch.setattr(theorems, "_block_witnesses", last_term_identity)
         run = run_family("circulants", max_n=5, checks=("zerosum",))
         record = run.reports[0].to_dict()
         assert record["checks"] == [
@@ -923,3 +968,70 @@ class TestBugRoutes:
         assert captured.out == ""
         assert captured.err == f"BUG: {path}: reflexive-closure window 4 above g-2=3\n"
 
+
+def report_lines(run):
+    """One `json.dumps(report.to_dict(), sort_keys=True)` per report, the
+    per-set reports first, then the girth-scan failures: what `verify
+    --report` wrote before its writer encoded each class's checks once."""
+    reports = [*run.reports, *(f for scan in run.girth_scans for f in scan.failures)]
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+
+
+# the relation files of the `from_files` output digests
+REPORT_FILES = {
+    **INPUTS,
+    **{f"circ_n7_S{'_'.join(map(str, gens))}.rel": cayley_relation(cyclic(7), gens)[0]
+       for gens in [(1,), (1, 6), (1, 2, 4)]},
+}
+
+
+class TestReportLines:
+    """The NDJSON writer splices each line from encoded parts; every line
+    must still read as its report's `to_dict`, byte for byte."""
+
+    @pytest.mark.parametrize("family, option, size", [
+        ("circulants", "--max-n", 11), ("circulants", "--max-n", 9),
+        ("cayley_dihedral", "--max-m", 5), ("cayley_abelian", "--max-order", 10),
+        ("cayley_symmetric", "--m", 3),
+    ])
+    def test_built_in_families(self, tmp_path, family, option, size):
+        path = tmp_path / "report.ndjson"
+        assert main(["verify", family, option, str(size), "--report", str(path)]) == 0
+        run = run_family(family, **{theorems.FAMILIES[family][0]: size})
+        assert path.read_text().splitlines() == report_lines(run)
+
+    @pytest.mark.parametrize("files", [
+        ["circ_n7_S1.rel", "circ_n7_S1_6.rel", "circ_n7_S1_2_4.rel"],
+        ["sharp6.rel"], ["nonregular.rel"], ["arcfree.rel"],
+    ])
+    def test_from_files(self, tmp_path, monkeypatch, files):
+        monkeypatch.chdir(tmp_path)
+        for name in files:
+            write_relation(name, REPORT_FILES[name])
+        assert main(["verify", "from_files", "--files", *files, "--report", "r.ndjson"]) == 0
+        run = run_family("from_files", files=files)
+        lines = (tmp_path / "r.ndjson").read_text().splitlines()
+        assert lines == report_lines(run) and len(lines) == 3 * len(files)
+
+    def test_girth_scan_failures_and_witness_errors(self, tmp_path, monkeypatch):
+        # longer girths fail the girth scan, and no witness multiplies to
+        # the identity
+        monkeypatch.setattr(theorems, "_block_windows", lengthened(theorems._block_windows))
+        monkeypatch.setattr(theorems, "_block_witnesses", last_term_identity)
+        path = tmp_path / "report.ndjson"
+        assert main(["verify", "circulants", "--max-n", "7", "--checks", "girth,zerosum",
+                     "--report", str(path)]) == 1
+        run = run_family("circulants", max_n=7, checks=("girth", "zerosum"))
+        lines = path.read_text().splitlines()
+        assert lines == report_lines(run)
+        assert sum('"family": "girth-scan"' in line for line in lines) == 17
+        assert sum('"witnesses": {"error": ' in line for line in lines) == 120
+
+    def test_failed_sphere_records(self, tmp_path):
+        path = tmp_path / "report.ndjson"
+        with sphere_bound_shifted(1):
+            assert main(["verify", "circulants", "--max-n", "7", "--report", str(path)]) == 1
+            run = run_family("circulants", max_n=7)
+        lines = path.read_text().splitlines()
+        assert lines == report_lines(run)
+        assert run.summary["failures"] > 0 and any('"pass": false' in line for line in lines)
