@@ -29,8 +29,9 @@ the window ends at g - 2.  So the walk knows each set's shortest return,
 of length k = window end + 2: the girth scan reads each inverse-free set's
 girth off it, and a family run reads each set's zero-product witness off
 its balls (`_block_witnesses`).  A family run counts its summary by class,
-the sets with the same records, and builds a set's reports only when they
-are read.
+the sets with the same records, through `CheckRecord.passed` and `.tight`.
+Its reports are built each time they are read: `FamilyRun.reports` is the
+stream `verify --report` writes, the girth scans' failures last.
 """
 
 from __future__ import annotations
@@ -676,9 +677,10 @@ ALL_CHECKS = ("main", "growth", "girth", "zerosum")
 @dataclass(slots=True)
 class FamilyRun:
     """The outcome of `run_family`.  `classed_reports()` yields every report
-    with the key of its class: reports with the same key have the same
-    checks, and the key None marks a class of one.  `reports` lists them;
-    a built-in family builds them on first read."""
+    that `verify --report` writes, with the key of its class: first each
+    instance's reports, then each girth scan's failures under the key None.
+    Reports with the same key have the same checks, and the key None marks
+    a class of one.  `reports` lists them, built anew on each read."""
 
     family: str
     params: dict
@@ -687,7 +689,6 @@ class FamilyRun:
     _classed: Callable[[], Iterator[tuple[Hashable, VerificationReport]]] = field(
         compare=False, repr=False
     )
-    _reports: list[VerificationReport] | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -695,12 +696,13 @@ class FamilyRun:
 
     @property
     def reports(self) -> list[VerificationReport]:
-        if self._reports is None:
-            self._reports = [report for _, report in self._classed()]
-        return self._reports
+        return [report for _, report in self.classed_reports()]
 
     def classed_reports(self) -> Iterator[tuple[Hashable, VerificationReport]]:
-        return self._classed()
+        yield from self._classed()
+        for scan in self.girth_scans:
+            for report in scan.failures:
+                yield None, report
 
 
 def _summarize(
@@ -709,31 +711,24 @@ def _summarize(
 ) -> dict:
     """Totals over the reports, grouped by the instance they check.  A
     class is `count` instances whose reports have the same checks and
-    caveats, given as one (checks, caveats) pair per report; each class is
-    read in one pass."""
+    caveats, given as one (checks, caveats) pair per report.  Pass and
+    tight are `CheckRecord`'s."""
     instances = checks = failures = bugs = caveated = tight_checks = tight_instances = 0
     for count, reports in classes:
         instances += count if reports else 0
         caveated += count if any(caveats for _, caveats in reports) else 0
         for records, caveats in reports:
-            failed = tight = 0
-            # a tight-growth report has only tight ball records of radius
-            # >= 1, and they reach radius 2
-            growth_tight, radius = True, 0
-            for c in records:
-                if c.lhs < c.rhs:
-                    failed += 1
-                elif c.lhs == c.rhs:
-                    tight += 1
-                if c.claim == "ball-lower-bound" and c.index >= 1:
-                    growth_tight = growth_tight and c.lhs == c.rhs
-                    radius = c.index
+            failed = sum(not c.passed for c in records)
             checks += count * len(records)
             failures += count * failed
             if not caveats:  # violations on uncertified instances are caveats
                 bugs += count * failed
-            tight_checks += count * tight
-            tight_instances += count if growth_tight and radius >= 2 else 0
+            tight_checks += count * sum(c.tight for c in records)
+            # a tight-growth report has only tight ball records of radius
+            # >= 1, and they reach radius 2
+            growth = [c for c in records if c.claim == "ball-lower-bound" and c.index >= 1]
+            if growth and growth[-1].index >= 2 and all(c.tight for c in growth):
+                tight_instances += count
     scan_subsets = sum(s.total_subsets for s in girth_scans)
     scan_failures = sum(len(s.failures) for s in girth_scans)
     return {
@@ -847,7 +842,7 @@ def run_family(
         summary = _summarize(classes, girth_scans)
         # each report is a class of one
         classed = functools.partial(zip, itertools.repeat(None), reports)
-        return FamilyRun(family, dict(params), girth_scans, summary, classed, reports)
+        return FamilyRun(family, dict(params), girth_scans, summary, classed)
     per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
     # refuse an oversized family before the first group is scanned
     family_groups = []

@@ -781,6 +781,19 @@ def test_summary_matches_reference_on_crafted_reports():
     assert (summary["bugs"], summary["failures"], summary["tight_growth_instances"]) == (1, 2, 1)
 
 
+def test_summary_reads_pass_and_tight_off_check_record(monkeypatch):
+    # `_summarize` has no rule of its own: with `CheckRecord.passed` strict
+    # and no record tight, every tight record of the exact run fails
+    exact = run_family("circulants", max_n=7, checks=("main", "growth"))
+    tight = sum(c.tight for r in exact.reports for c in r.checks)
+    assert tight > 0 and exact.summary["tight_checks"] == tight
+    monkeypatch.setattr(theorems.CheckRecord, "passed", property(lambda c: c.lhs > c.rhs))
+    monkeypatch.setattr(theorems.CheckRecord, "tight", property(lambda c: False))
+    summary = run_family("circulants", max_n=7, checks=("main", "growth")).summary
+    assert summary["failures"] == tight
+    assert summary["tight_checks"] == summary["tight_growth_instances"] == 0
+
+
 class TestRunFamily:
     def test_circulants_clean(self):
         run = run_family("circulants", max_n=6)
@@ -969,12 +982,101 @@ class TestBugRoutes:
         assert captured.err == f"BUG: {path}: reflexive-closure window 4 above g-2=3\n"
 
 
+def window_balls(family, size):
+    """Each set's reports of a `main,growth` run of a built-in family, with
+    the sizes of the balls around the identity of its reflexive Cayley
+    relation up to its hypothesis window's end, radius by radius."""
+    groups = {g.name: g for g in theorems.FAMILIES[family][1](size)}
+    run = run_family(family, checks=("main", "growth"), **{theorems.FAMILIES[family][0]: size})
+    reports = run.reports
+    assert run.ok and len(reports) == 2 * run.summary["instances"] > 0
+    for sphere, ball in zip(reports[::2], reports[1::2]):
+        rel = cayley_relation(groups[sphere.params["group"]], [0, *sphere.params["gens"]])[0]
+        sizes = [len(rel.ball(0, j)) for j in range(naive_window(rel, 0) + 1)]
+        yield sphere, ball, sizes
+
+
+class TestAbstractResults:
+    """One test per result of the paper's abstract, each naming the record
+    claim that carries it.  Here r is the out-degree of the reflexive
+    relation, |S| + 1 on Cay(G, S + {e})."""
+
+    def test_sphere_bound(self):
+        """The theorem: in the hypothesis window every sphere
+        |Γ^j(v) \\ Γ^(j-1)(v)| has at least r - 1 elements.  Carried by the
+        `sphere-lower-bound` records: index j, lhs the sphere's size, rhs
+        r - 1."""
+        for report, _, sizes in window_balls("cayley_abelian", 9):
+            assert [(c.claim, c.index, c.lhs, c.rhs) for c in report.checks] == [
+                ("sphere-lower-bound", j, sizes[j] - sizes[j - 1], report.r - 1)
+                for j in range(1, len(sizes))
+            ]
+            assert all(c.passed for c in report.checks)
+
+    def test_seymour_conjecture(self):
+        """Seymour's conjecture, for vertex-transitive graphs: the ball
+        bound |Γ^j(v)| >= 1 + (r - 1) j in the window.  Carried by the
+        `ball-lower-bound` records: index j, lhs the ball's size, rhs
+        1 + (r - 1) j."""
+        for _, report, sizes in window_balls("cayley_dihedral", 4):
+            assert [(c.claim, c.index, c.lhs, c.rhs) for c in report.checks] == [
+                ("ball-lower-bound", j, size, 1 + (report.r - 1) * j)
+                for j, size in enumerate(sizes)
+            ]
+            assert all(c.passed for c in report.checks)
+
+    def test_caccetta_haggkvist(self):
+        """The Caccetta-Häggkvist conjecture, for vertex-transitive graphs:
+        girth g <= ceil(n / r) for out-degree r.  Carried by the
+        `girth-order-bound` records, n >= 1 + r (g - 1), which the girth
+        scan checks on every inverse-free set; that gives g - 1 <= (n - 1)
+        / r, so g <= ceil(n / r).  Both are pinned on every inverse-free
+        set, its girth read off the walk as window end + 2."""
+        for group in SCAN_CORPUS:
+            n, pairs = group.n, theorems._inverse_pairs(group)
+            assert scan_girth_bound(group).ok
+            sets = 0
+            for masks, ends, _ in theorems._walk(group, pairs[::-1]) if pairs else ():
+                r, g = np.bitwise_count(masks).astype(np.int64), ends + 2
+                assert (n >= 1 + r * (g - 1)).all(), group.name
+                assert (g <= -(-n // r)).all(), group.name
+                sets += len(masks)
+            assert sets == 3 ** len(pairs) - 1
+
+    def test_shepherdson(self):
+        """Shepherdson's additive result, generalized to any finite group:
+        any nonempty S of nonidentity elements has a product of at most
+        ceil(n / |S|) of its elements equal to the identity.  Carried by the
+        `zero-product-bound` records: index and rhs the witness length k,
+        lhs ceil(n / |S|); the witness is the shortest such product."""
+        groups = {g.name: g for g in theorems.FAMILIES["cayley_dihedral"][1](3)}
+        run = run_family("cayley_dihedral", max_m=3, checks=("zerosum",))
+        assert run.ok and len(run.reports) == run.summary["instances"] == 1 + 7 + 31
+        for report in run.reports:
+            group, gens = groups[report.params["group"]], report.params["gens"]
+            sequence = report.witnesses["sequence"]
+            (check,) = report.checks
+            k, bound = len(sequence), -(-group.n // len(gens))
+            assert (check.claim, check.index, check.lhs, check.rhs) == (
+                "zero-product-bound", k, bound, k)
+            assert check.passed and set(sequence) <= set(gens)
+            assert group.product(sequence) == group.identity
+            assert shortest_zero_product_oracle(group, gens, k) == k
+
+
 def report_lines(run):
-    """One `json.dumps(report.to_dict(), sort_keys=True)` per report, the
-    per-set reports first, then the girth-scan failures: what `verify
-    --report` wrote before its writer encoded each class's checks once."""
-    reports = [*run.reports, *(f for scan in run.girth_scans for f in scan.failures)]
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+    """One `json.dumps(report.to_dict(), sort_keys=True)` per report of
+    `run.reports`: what `verify --report` wrote before its writer encoded
+    each class's checks once."""
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in run.reports]
+
+
+# the five `--report` requests of the `cayley-verify` workload
+REPORT_REQUESTS = [
+    ("circulants", "--max-n", 11), ("circulants", "--max-n", 9),
+    ("cayley_dihedral", "--max-m", 5), ("cayley_abelian", "--max-order", 10),
+    ("cayley_symmetric", "--m", 3),
+]
 
 
 # the relation files of the `from_files` output digests
@@ -989,16 +1091,26 @@ class TestReportLines:
     """The NDJSON writer splices each line from encoded parts; every line
     must still read as its report's `to_dict`, byte for byte."""
 
-    @pytest.mark.parametrize("family, option, size", [
-        ("circulants", "--max-n", 11), ("circulants", "--max-n", 9),
-        ("cayley_dihedral", "--max-m", 5), ("cayley_abelian", "--max-order", 10),
-        ("cayley_symmetric", "--m", 3),
-    ])
+    @pytest.mark.parametrize("family, option, size", REPORT_REQUESTS)
     def test_built_in_families(self, tmp_path, family, option, size):
         path = tmp_path / "report.ndjson"
         assert main(["verify", family, option, str(size), "--report", str(path)]) == 0
         run = run_family(family, **{theorems.FAMILIES[family][0]: size})
         assert path.read_text().splitlines() == report_lines(run)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("family, option, size", REPORT_REQUESTS)
+    def test_class_key_fixes_checks(self, family, option, size, delta):
+        # the writer encodes the checks once per key other than None, so
+        # every report under such a key must carry the same checks, also
+        # when the sphere records fail
+        with sphere_bound_shifted(delta):
+            run = run_family(family, **{theorems.FAMILIES[family][0]: size})
+            checks = {}
+            for key, report in run.classed_reports():
+                if key is not None:
+                    assert checks.setdefault(key, report.checks) == report.checks, key
+        assert checks
 
     @pytest.mark.parametrize("files", [
         ["circ_n7_S1.rel", "circ_n7_S1_6.rel", "circ_n7_S1_2_4.rel"],
@@ -1026,6 +1138,9 @@ class TestReportLines:
         assert lines == report_lines(run)
         assert sum('"family": "girth-scan"' in line for line in lines) == 17
         assert sum('"witnesses": {"error": ' in line for line in lines) == 120
+        # the reports end with the scans' failures, in scan order
+        failures = [f.to_dict() for n in range(2, 8) for f in scan_girth_bound(cyclic(n)).failures]
+        assert [r.to_dict() for r in run.reports[-17:]] == failures and len(failures) == 17
 
     def test_failed_sphere_records(self, tmp_path):
         path = tmp_path / "report.ndjson"
