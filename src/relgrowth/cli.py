@@ -8,7 +8,6 @@ of memory or recursion depth on an oversized input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -94,7 +93,7 @@ def _cmd_verify(args) -> int:
     run = theorems.run_family(args.family, checks=checks, files=args.files, **params)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
-            _write_reports(handle, run.classed_reports())
+            handle.writelines(run.report_lines())
     print(f"family: {run.family} {run.params}")
     for key, value in run.summary.items():
         print(f"  {key}: {value}")
@@ -103,40 +102,6 @@ def _cmd_verify(args) -> int:
             if report.caveats and (report.failures or not report.checks):
                 print(f"  caveated: {report.descriptor} ({','.join(report.caveats)})")
     return 0 if run.ok else 1
-
-
-_encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(o, sort_keys=True) prints
-
-
-def _write_reports(handle, classed_reports) -> None:
-    """One line per report, `json.dumps(report.to_dict(), sort_keys=True)`.
-    Its keys sort as caveats, checks, family, instance, params, r and
-    witnesses, so the line is spliced from encoded parts: the checks once
-    per class key (under the key None, once per report); family, instance
-    and params once per run of reports that share their params, as the
-    reports of one generator set do; r with empty witnesses once per r."""
-    checks_by_key: dict = {}
-    tails: dict = {}
-    caveats_by_tuple: dict = {}
-    family = descriptor = params = head = None
-    for key, report in classed_reports:
-        checks = checks_by_key.get(key) if key is not None else None
-        if checks is None:
-            checks = _encode([c.to_dict() for c in report.checks])
-            if key is not None:
-                checks_by_key[key] = checks
-        if (report.params is not params or report.descriptor != descriptor
-                or report.family != family):
-            # params is held, so no later params object can take its id
-            family, descriptor, params = report.family, report.descriptor, report.params
-            head = _encode({"family": family, "instance": descriptor, "params": params})[1:-1]
-        if report.witnesses:
-            tail = _encode({"r": report.r, "witnesses": report.witnesses})
-        elif (tail := tails.get(report.r)) is None:
-            tail = tails[report.r] = _encode({"r": report.r, "witnesses": {}})
-        if (caveats := caveats_by_tuple.get(report.caveats)) is None:
-            caveats = caveats_by_tuple[report.caveats] = _encode(list(report.caveats))
-        handle.write(f'{{"caveats": {caveats}, "checks": {checks}, {head}, {tail[1:]}\n')
 
 
 def _cmd_zerosum(args) -> int:

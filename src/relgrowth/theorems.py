@@ -30,17 +30,20 @@ of length k = window end + 2: the girth scan reads each inverse-free set's
 girth off it, and a family run reads each set's zero-product witness off
 its balls (`_block_witnesses`).  A family run counts its summary by class,
 the sets with the same records, through `CheckRecord.passed` and `.tight`.
-Its reports are built each time they are read: `FamilyRun.reports` is the
-stream `verify --report` writes, the girth scans' failures last.
+Its one report stream is `FamilyRun.report_lines()`, the NDJSON lines
+`verify --report` writes, the girth scans' failures last: each set's lines
+are spliced from its block's columns with no report object, and
+`FamilyRun.reports` decodes the lines.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +118,21 @@ class VerificationReport:
             "witnesses": self.witnesses,
             "caveats": list(self.caveats),
         }
+
+    @classmethod
+    def from_dict(cls, record: dict) -> VerificationReport:
+        """The report whose `to_dict` is record."""
+        checks = [CheckRecord(c["claim"], c["index"], c["lhs"], c["rhs"]) for c in record["checks"]]
+        return cls(record["family"], record["instance"], record["params"], record["r"], checks,
+                   record["witnesses"], tuple(record["caveats"]))
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(o, sort_keys=True) prints
+
+
+def _line(report: VerificationReport) -> str:
+    """The report's NDJSON line, `json.dumps(report.to_dict(), sort_keys=True)`."""
+    return _encode(report.to_dict()) + "\n"
 
 
 @dataclass(frozen=True, slots=True)
@@ -676,19 +694,17 @@ ALL_CHECKS = ("main", "growth", "girth", "zerosum")
 
 @dataclass(slots=True)
 class FamilyRun:
-    """The outcome of `run_family`.  `classed_reports()` yields every report
-    that `verify --report` writes, with the key of its class: first each
-    instance's reports, then each girth scan's failures under the key None.
-    Reports with the same key have the same checks, and the key None marks
-    a class of one.  `reports` lists them, built anew on each read."""
+    """The outcome of `run_family`.  `report_lines()` yields the lines that
+    `verify --report` writes, one `json.dumps(report.to_dict(),
+    sort_keys=True)` per report: first each instance's reports, then each
+    girth scan's failures.  `reports` decodes them, a fresh list on each
+    read, so its reports are exactly what was written."""
 
     family: str
     params: dict
     girth_scans: list[GirthScanResult]
     summary: dict
-    _classed: Callable[[], Iterator[tuple[Hashable, VerificationReport]]] = field(
-        compare=False, repr=False
-    )
+    _lines: Callable[[], Iterator[str]] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -696,13 +712,11 @@ class FamilyRun:
 
     @property
     def reports(self) -> list[VerificationReport]:
-        return [report for _, report in self.classed_reports()]
+        return [VerificationReport.from_dict(json.loads(line)) for line in self.report_lines()]
 
-    def classed_reports(self) -> Iterator[tuple[Hashable, VerificationReport]]:
-        yield from self._classed()
-        for scan in self.girth_scans:
-            for report in scan.failures:
-                yield None, report
+    def report_lines(self) -> Iterator[str]:
+        failures = (map(_line, scan.failures) for scan in self.girth_scans)
+        return itertools.chain(self._lines(), *failures)
 
 
 def _summarize(
@@ -782,28 +796,45 @@ def _class_records(key: bytes, kinds: list[int], zerosum: bool) -> list[tuple[Ch
     return records
 
 
-def _set_reports(
-    family: str, zerosum: bool, blocks: list, records: dict
-) -> Iterator[tuple[Hashable, VerificationReport]]:
-    """Each generator set's reports in walk order, each keyed by its index
-    among the set's reports and the set's class (`_class_keys`), whose
-    `records` hold the checks of each report."""
+def _set_lines(family: str, zerosum: bool, blocks: list, records: dict) -> Iterator[str]:
+    """Each generator set's report lines in walk order, as `_line` writes
+    them, spliced from parts each encoded once per the unit it depends on:
+    the checks, r and family per report of a class (`_class_keys`), whose
+    `records` hold the checks of each report; the group's name per group;
+    the members per set, whose list prints as its JSON; the witness per
+    zero-product report.  The keys sort as caveats, checks, family,
+    instance, params, r and witnesses."""
+    family = _encode(family)
+    # per class: the text before and after the set's part, for each sphere
+    # and ball report (r = |S| + 1) and for the zero-product report (r = |S|)
+    parts = {}
+    for key, reports in records.items():
+        heads = [
+            f'{{"caveats": [], "checks": {_encode([c.to_dict() for c in checks])}, '
+            f'"family": {family}, "instance": '
+            for checks in reports
+        ]
+        tail = f', "r": {key[0]}, "witnesses": {{}}}}\n'
+        parts[key] = (
+            [(head, tail) for head in heads[: len(heads) - zerosum]],
+            (heads[-1], f', "r": {key[0] - 1}, "witnesses": ') if zerosum else None,
+        )
     for group, masks, keys, witnesses, errors in blocks:
+        cay, name = _encode(f"Cay({group.name},")[:-1], _encode(group.name)
         if zerosum:
             witnesses = witnesses.tolist()
         for i, gens in enumerate(_members(masks, group.n)):
-            key = keys[i]
-            descriptor = f"Cay({group.name},{gens})"
-            info = {"group": group.name, "gens": gens}
-            checks = records[key]
-            for j in range(len(checks) - zerosum):
-                report = VerificationReport(family, descriptor, info, key[0], list(checks[j]))
-                yield (j, key), report
-            if zerosum:
-                witness = {"sequence": witnesses[i][: key[1]]} if key[3] else {"error": errors[i]}
-                yield (len(checks) - 1, key), VerificationReport(
-                    family, descriptor, info, key[0] - 1, list(checks[-1]), witness
-                )
+            key, gens = keys[i], str(gens)
+            instance = f'{cay}{gens})", "params": {{"gens": {gens}, "group": {name}}}'
+            sphere_ball, zero = parts[key]
+            for head, tail in sphere_ball:
+                yield head + instance + tail
+            if zero:
+                if key[3]:
+                    witness = f'{{"sequence": {witnesses[i][: key[1]]}}}'
+                else:
+                    witness = _encode({"error": errors[i]})
+                yield f"{zero[0]}{instance}{zero[1]}{witness}}}\n"
 
 
 def run_family(
@@ -840,9 +871,8 @@ def run_family(
         reports = [r for instance in instances for r in instance]
         classes = [(1, [(r.checks, r.caveats) for r in instance]) for instance in instances]
         summary = _summarize(classes, girth_scans)
-        # each report is a class of one
-        classed = functools.partial(zip, itertools.repeat(None), reports)
-        return FamilyRun(family, dict(params), girth_scans, summary, classed)
+        return FamilyRun(family, dict(params), girth_scans, summary,
+                         functools.partial(map, _line, reports))
     per_subset = tuple(c for c in selected if c in ("main", "growth", "zerosum"))
     # refuse an oversized family before the first group is scanned
     family_groups = []
@@ -872,6 +902,11 @@ def run_family(
             continue
         mul = np.array(group.table, dtype=np.intp) if zerosum else None
         for masks, ends, balls in _subset_windows(group):
+            # a nonempty S closes its window by ord(s) - 2 <= n - 2
+            if kinds and (unreachable := np.count_nonzero(ends > group.n - 2)):
+                raise BugError(
+                    f"identity unreachable over {unreachable} generator sets of {group.name}"
+                )
             zero = witnesses = errors = None
             if zerosum:
                 zero, witnesses, errors = _zero_products(group, mul, masks, ends, balls)
@@ -882,5 +917,5 @@ def run_family(
     classes = [(sets, [(claim, ()) for claim in records[key]]) for key, sets in counts.items()]
     return FamilyRun(
         family, dict(params), girth_scans, _summarize(classes, girth_scans),
-        functools.partial(_set_reports, family, zerosum, blocks, records),
+        functools.partial(_set_lines, family, zerosum, blocks, records),
     )

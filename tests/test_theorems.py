@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -689,6 +690,18 @@ def reference_zero_product_report(group, gens, family):
     )
 
 
+def reference_set_reports(group, gens, family):
+    """The reports of one generator set by the per-set route the walk
+    replaced: one Cayley relation through `_instance_reports` for its
+    sphere and ball reports, then `reference_zero_product_report`."""
+    descriptor, params = f"Cay({group.name},{list(gens)})", {"group": group.name, "gens": list(gens)}
+    return [
+        *theorems._instance_reports(
+            *cayley_relation(group, gens), descriptor, family, params, ("main", "growth")),
+        reference_zero_product_report(group, gens, family),
+    ]
+
+
 class TestBallWalk:
     """The batched walk of the built-in families against the route it
     replaced: one Cayley relation per generator set through
@@ -701,14 +714,7 @@ class TestBallWalk:
         with sphere_bound_shifted(delta):
             run = run_family("circulants", checks=("main", "growth", "zerosum"))
             expected = [
-                [
-                    *theorems._instance_reports(
-                        *cayley_relation(group, gens),
-                        f"Cay({group.name},{list(gens)})", "circulants",
-                        {"group": group.name, "gens": list(gens)}, ("main", "growth"),
-                    ),
-                    reference_zero_product_report(group, gens, "circulants"),
-                ]
+                reference_set_reports(group, gens, "circulants")
                 for group in BALL_CORPUS
                 for gens in subsets_of(range(1, group.n))
             ]
@@ -939,8 +945,8 @@ def last_term_identity(mul, masks, ends, balls, rebuild=theorems._block_witnesse
 
 
 class TestBugRoutes:
-    """The two inconsistencies a run reports as bugs rather than as
-    failed checks of a bound."""
+    """The inconsistencies a run reports as bugs rather than as failed
+    checks of a bound."""
 
     def test_witness_not_identity(self, monkeypatch):
         monkeypatch.setattr(theorems, "_block_witnesses", last_term_identity)
@@ -953,6 +959,18 @@ class TestBugRoutes:
         assert "does not multiply to the identity" in record["witnesses"]["error"]
         assert run.summary["bugs"] >= 1 and not run.ok
         assert main(["verify", "circulants", "--max-n", "5", "--checks", "zerosum"]) == 1
+
+    @pytest.mark.parametrize("checks", ["all", "main,growth"])
+    def test_window_past_n_minus_two(self, tmp_path, monkeypatch, capsys, checks):
+        # a nonempty S closes its window by ord(s) - 2 <= n - 2, so a longer
+        # window is a bug of the walk, not a report; Z2's set {1} is first
+        monkeypatch.setattr(theorems, "_block_windows", lengthened(theorems._block_windows))
+        path = tmp_path / "report.ndjson"
+        assert main(["verify", "circulants", "--max-n", "7", "--checks", checks,
+                     "--report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err == "BUG: identity unreachable over 1 generator sets of Z2\n"
 
     def test_girth_window_below_reduction(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c5.rel"
@@ -1064,11 +1082,18 @@ class TestAbstractResults:
             assert shortest_zero_product_oracle(group, gens, k) == k
 
 
-def report_lines(run):
-    """One `json.dumps(report.to_dict(), sort_keys=True)` per report of
-    `run.reports`: what `verify --report` wrote before its writer encoded
-    each class's checks once."""
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in run.reports]
+def report_lines(path):
+    """The lines `verify --report` wrote to path, each asserted canonical:
+    `json.dumps(..., sort_keys=True)` of its own decoding."""
+    lines = path.read_text().splitlines()
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+    return lines
+
+
+def dumped(reports):
+    """One `json.dumps(report.to_dict(), sort_keys=True)` per report."""
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
 
 
 # the five `--report` requests of the `cayley-verify` workload
@@ -1088,29 +1113,79 @@ REPORT_FILES = {
 
 
 class TestReportLines:
-    """The NDJSON writer splices each line from encoded parts; every line
-    must still read as its report's `to_dict`, byte for byte."""
+    """A family run splices each set's NDJSON line from encoded parts, with
+    no report object; every line must still read as its report's
+    `to_dict`, byte for byte, and `FamilyRun.reports` decodes the lines."""
 
     @pytest.mark.parametrize("family, option, size", REPORT_REQUESTS)
     def test_built_in_families(self, tmp_path, family, option, size):
         path = tmp_path / "report.ndjson"
         assert main(["verify", family, option, str(size), "--report", str(path)]) == 0
         run = run_family(family, **{theorems.FAMILIES[family][0]: size})
-        assert path.read_text().splitlines() == report_lines(run)
+        assert report_lines(path) == dumped(run.reports)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     @pytest.mark.parametrize("family, option, size", REPORT_REQUESTS)
     def test_class_key_fixes_checks(self, family, option, size, delta):
-        # the writer encodes the checks once per key other than None, so
-        # every report under such a key must carry the same checks, also
-        # when the sphere records fail
+        # the checks are encoded once per class key and report, so every
+        # set of a class must decode, set by set, to the reports of the
+        # route the walk replaced, also when the sphere records fail; a
+        # valid run has no girth-scan failure, so these are all its reports
+        key = theorems.FAMILIES[family][0]
+        groups = list(theorems._family_groups(family, {key: size}))
         with sphere_bound_shifted(delta):
-            run = run_family(family, **{theorems.FAMILIES[family][0]: size})
-            checks = {}
-            for key, report in run.classed_reports():
-                if key is not None:
-                    assert checks.setdefault(key, report.checks) == report.checks, key
-        assert checks
+            reports = run_family(family, **{key: size}).reports
+            expected = [
+                reference_set_reports(group, gens, family)
+                for group in groups
+                for gens in subsets_of(range(1, group.n))
+            ]
+        assert len(reports) == 3 * len(expected)
+        for i, instance in enumerate(expected):
+            assert reports[3 * i : 3 * i + 3] == instance, instance[0].descriptor
+        assert any(c.passed for r in reports for c in r.checks)
+        assert any(not c.passed for r in reports for c in r.checks) == (delta == 1)
+
+    def test_no_report_object_per_set(self, tmp_path, monkeypatch):
+        # the lines come straight from the walk's columns: no
+        # `VerificationReport` is built, and the bytes are those of one
+        # `json.dumps(report.to_dict(), sort_keys=True)` per report
+        built = []
+        init = theorems.VerificationReport.__init__
+        monkeypatch.setattr(theorems.VerificationReport, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        path = tmp_path / "report.ndjson"
+        assert main(["verify", "circulants", "--max-n", "9", "--report", str(path)]) == 0
+        assert built == []
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f6d70f3f0d98e98a3f4b2aadeac0530f8ee67c536956f9e4a79d3ae90f449013")
+        monkeypatch.undo()
+        expected = [
+            report
+            for group in theorems._family_groups("circulants", {"max_n": 9})
+            for gens in subsets_of(range(1, group.n))
+            for report in reference_set_reports(group, gens, "circulants")
+        ]
+        assert report_lines(path) == dumped(expected)
+
+    def test_from_dict_round_trip(self, tmp_path, monkeypatch):
+        # the file fixtures give every caveat, girth "infinite" and the
+        # empty not-regular reports
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for name, rel in REPORT_FILES.items():
+            write_relation(name, rel)
+            certified = rel.n <= groups.BRUTE_LIMIT and is_point_transitive_brute(rel)
+            certificate = (TransitivityCertificate.brute() if certified
+                           else TransitivityCertificate.none())
+            reports += theorems._instance_reports(
+                rel, certificate, name, "from_files", {}, theorems.ALL_CHECKS)
+        for report in reports:
+            assert theorems.VerificationReport.from_dict(report.to_dict()) == report
+        assert run_family("from_files", files=list(REPORT_FILES)).reports == reports
+        assert {c for r in reports for c in r.caveats} == {
+            "uncertified-transitivity", "acyclic", "not-regular"}
+        assert any(r.witnesses.get("girth") == "infinite" for r in reports)
 
     @pytest.mark.parametrize("files", [
         ["circ_n7_S1.rel", "circ_n7_S1_6.rel", "circ_n7_S1_2_4.rel"],
@@ -1122,8 +1197,8 @@ class TestReportLines:
             write_relation(name, REPORT_FILES[name])
         assert main(["verify", "from_files", "--files", *files, "--report", "r.ndjson"]) == 0
         run = run_family("from_files", files=files)
-        lines = (tmp_path / "r.ndjson").read_text().splitlines()
-        assert lines == report_lines(run) and len(lines) == 3 * len(files)
+        lines = report_lines(tmp_path / "r.ndjson")
+        assert lines == dumped(run.reports) and len(lines) == 3 * len(files)
 
     def test_girth_scan_failures_and_witness_errors(self, tmp_path, monkeypatch):
         # longer girths fail the girth scan, and no witness multiplies to
@@ -1134,8 +1209,8 @@ class TestReportLines:
         assert main(["verify", "circulants", "--max-n", "7", "--checks", "girth,zerosum",
                      "--report", str(path)]) == 1
         run = run_family("circulants", max_n=7, checks=("girth", "zerosum"))
-        lines = path.read_text().splitlines()
-        assert lines == report_lines(run)
+        lines = report_lines(path)
+        assert lines == dumped(run.reports)
         assert sum('"family": "girth-scan"' in line for line in lines) == 17
         assert sum('"witnesses": {"error": ' in line for line in lines) == 120
         # the reports end with the scans' failures, in scan order
@@ -1147,6 +1222,6 @@ class TestReportLines:
         with sphere_bound_shifted(1):
             assert main(["verify", "circulants", "--max-n", "7", "--report", str(path)]) == 1
             run = run_family("circulants", max_n=7)
-        lines = path.read_text().splitlines()
-        assert lines == report_lines(run)
+        lines = report_lines(path)
+        assert lines == dumped(run.reports)
         assert run.summary["failures"] > 0 and any('"pass": false' in line for line in lines)
